@@ -30,6 +30,11 @@ _SERIES = {"L": l_genus_series, "Ahat": ahat_genus_series}
 _TABLES = {"L": l_genus_table, "Ahat": ahat_genus_table}
 _REPORTS = ("pontryagin", "signature", "ahat")
 
+# Largest --weight each subcommand accepts; both finish in well under a second
+# at the cap, and the cost grows quickly past it.
+COEFF_MAX_WEIGHT = 150
+GENUS_MAX_WEIGHT = 16
+
 
 class CommandError(Exception):
     """A usage or input problem that should surface as one diagnostic line."""
@@ -48,7 +53,7 @@ def _rational_arg(text: str):
 
 
 def _nonneg_int_arg(text: str) -> int:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
@@ -90,7 +95,13 @@ def _params_lines(params: NormalInvariantParams) -> list[str]:
     ]
 
 
+def _check_weight(weight: int, cap: int) -> None:
+    if weight > cap:
+        raise CommandError(f"argument --weight: at most {cap} is supported, got {weight}")
+
+
 def _cmd_coeff(args: argparse.Namespace):
+    _check_weight(args.weight, COEFF_MAX_WEIGHT)
     series = _SERIES[args.series](args.weight)
     values = [format_rational(c) for c in series.coefficients]
     lines = [f"z^{k}: {v}" for k, v in enumerate(values)]
@@ -99,6 +110,7 @@ def _cmd_coeff(args: argparse.Namespace):
 
 
 def _cmd_genus(args: argparse.Namespace):
+    _check_weight(args.weight, GENUS_MAX_WEIGHT)
     table = _TABLES[args.series](args.weight)
     lines = []
     polys = []

@@ -142,7 +142,7 @@ def _parse_atom(text: str) -> ManifoldModel:
 
 
 def _parse_positive_int(body: str, descriptor: str) -> int:
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise ValueError(f"unsupported manifold descriptor {descriptor!r}")
     return int(body)
 

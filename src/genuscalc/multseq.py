@@ -1,11 +1,13 @@
 """Multiplicative sequences and the rational Pontryagin character.
 
 The genus polynomials K_1..K_N attached to a characteristic series Q(z) are
-computed by the logarithmic method: writing log Q(z) = sum_k c_k z^k, the
-full sequence is exp(sum_k c_k s_k) expanded in a polynomial algebra whose
-variables p_1, p_2, ... are indexed by partitions, where s_k is the k-th
-power sum written in the p_i via Newton's identities.  Grading by partition
-weight then splits the exponential into the K_i.  This reproduces the
+computed by the logarithmic method.  Write log Q(z) = sum_k c_k z^k and let
+s_k be the k-th power sum of the formal roots, expressed in the graded
+variables p_1, p_2, ... by Newton's identities.  The whole sequence is then
+1 + K_1 + K_2 + ... = exp(sum_k c_k s_k), where c_k s_k has weight k.  The
+exponential is built weight by weight from the graded recurrence
+n K_n = sum_{k=1..n} k c_k s_k K_{n-k} (Brent and Kung, J. ACM 1978), in
+which every product is already homogeneous of weight n.  This reproduces the
 defining property K(ab) = K(a)K(b) without any root-splitting bookkeeping.
 """
 
@@ -104,16 +106,6 @@ class PartitionPoly:
     def coefficient(self, part: Partition) -> Fraction:
         return self._terms.get(tuple(part), Fraction(0))
 
-    def weight_part(self, weight: int) -> PartitionPoly:
-        return PartitionPoly(
-            {p: c for p, c in self._terms.items() if sum(p) == weight}
-        )
-
-    def truncate(self, max_weight: int) -> PartitionPoly:
-        return PartitionPoly(
-            {p: c for p, c in self._terms.items() if sum(p) <= max_weight}
-        )
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -154,19 +146,6 @@ class PartitionPoly:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def exp(self, max_weight: int) -> PartitionPoly:
-        """exp of a polynomial with zero constant term, truncated by weight."""
-        if self.coefficient(()):
-            raise ValueError("exp requires a zero constant term")
-        acc = PartitionPoly.one()
-        term = PartitionPoly.one()
-        for m in range(1, max_weight + 1):
-            term = (term * self).truncate(max_weight) * Fraction(1, m)
-            if not term:
-                break
-            acc = acc + term
-        return acc
 
     def evaluate(self, one: RingElement, values: Mapping[int, RingElement]) -> RingElement:
         """Substitute values[i] for p_i; variables missing from the map are zero."""
@@ -267,7 +246,10 @@ class GenusTable:
 def genus_table(q: Series, max_weight: int) -> GenusTable:
     """Genus polynomials of the multiplicative sequence attached to q.
 
-    Requires q to have constant term 1 and order >= max_weight.
+    With c_k the log coefficients of q and s_k the Newton power sums, the
+    weight-k part of the exponent is E_k = k c_k s_k, and K_0 = 1,
+    K_n = (1/n) sum_{k=1..n} E_k K_{n-k}.  Requires q to have constant term 1
+    and order >= max_weight.
     """
     if max_weight < 0:
         raise ValueError(f"max weight must be >= 0, got {max_weight}")
@@ -279,15 +261,14 @@ def genus_table(q: Series, max_weight: int) -> GenusTable:
         )
     log_coeffs = q.truncate(max_weight).log().coefficients
     sums = newton_power_sums(max_weight)
-    exponent = PartitionPoly.zero()
-    for k in range(1, max_weight + 1):
-        if log_coeffs[k]:
-            exponent = exponent + sums[k - 1] * log_coeffs[k]
-    total = exponent.exp(max_weight)
-    return GenusTable(
-        q.truncate(max_weight),
-        tuple(total.weight_part(i) for i in range(1, max_weight + 1)),
-    )
+    graded = [sums[k - 1] * (k * log_coeffs[k]) for k in range(1, max_weight + 1)]
+    polys = [PartitionPoly.one()]
+    for n in range(1, max_weight + 1):
+        acc = PartitionPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + graded[k - 1] * polys[n - k]
+        polys.append(acc * Fraction(1, n))
+    return GenusTable(q.truncate(max_weight), tuple(polys[1:]))
 
 
 @lru_cache(maxsize=None)

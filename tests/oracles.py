@@ -114,3 +114,55 @@ def naive_reduced_product(
                 continue
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# Genus polynomials by summing the powers of the exponent, on plain dicts
+# keyed by partitions (weakly decreasing tuples).
+
+
+def partition_dict_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            key = tuple(sorted(a + b, reverse=True))
+            out[key] = out.get(key, Fraction(0)) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def genus_polys_by_powers(coeffs: list, max_weight: int) -> list[dict]:
+    """K_1..K_N of the series 1 + coeffs[1] z + ... as partition-keyed dicts.
+
+    Takes the log of the series coefficient by coefficient, writes each power
+    sum in the p_i by Newton's identities, and exponentiates
+    sum_k c_k s_k as the sum of its powers truncated by weight, then splits
+    the total by weight.
+    """
+    a = [Fraction(c) for c in coeffs[: max_weight + 1]]
+    log = [Fraction(0)]
+    for n in range(1, max_weight + 1):
+        inner = sum((k * log[k] * a[n - k] for k in range(1, n)), Fraction(0))
+        log.append(a[n] - inner / n)
+    sums: list[dict] = []
+    for k in range(1, max_weight + 1):
+        acc = {(k,): Fraction((-1) ** (k - 1) * k)}
+        for j in range(1, k):
+            step = partition_dict_mul({(j,): Fraction(1)}, sums[k - j - 1])
+            acc = var_poly_add(acc, var_poly_scale(step, Fraction((-1) ** (j - 1))))
+        sums.append(acc)
+    exponent: dict = {}
+    for k in range(1, max_weight + 1):
+        exponent = var_poly_add(exponent, var_poly_scale(sums[k - 1], log[k]))
+    total = {(): Fraction(1)}
+    power = {(): Fraction(1)}
+    for m in range(1, max_weight + 1):
+        power = {
+            p: c / m
+            for p, c in partition_dict_mul(power, exponent).items()
+            if sum(p) <= max_weight
+        }
+        total = var_poly_add(total, power)
+    return [
+        {p: c for p, c in total.items() if sum(p) == i}
+        for i in range(1, max_weight + 1)
+    ]

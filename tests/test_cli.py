@@ -1,12 +1,14 @@
 """Command-line interface: golden outputs, JSON round trips, error handling."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from genuscalc.cli import run
+from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, run
 
 
 def _invoke(capsys, argv):
@@ -60,6 +62,26 @@ def test_genus_json_payload(capsys):
         {"partition": [2], "coefficient": "7/45"},
         {"partition": [1, 1], "coefficient": "-1/45"},
     ]
+
+
+# sha256 of `genus --weight 10` stdout, recorded while genus_table still built
+# tables as exp by summed powers (the construction genus_polys_by_powers in
+# oracles.py repeats), so they do not come from the graded recurrence
+_WEIGHT_TEN_SHA256 = {
+    ("L", "text"): "294bd3d8e6f85e9a357744ed4baa0f3b4edebf6f36f21006a5de8ebf15861691",
+    ("L", "json"): "10c1381fd00657eddbd3478c3dd3d256f3900a60bec6445a771a512f41c65d74",
+    ("Ahat", "text"): "010249643662e6a5b86a538070ce8cd187134aa50785c3cebb1bf4ef5fcb97b0",
+    ("Ahat", "json"): "82bb77f311d8ddb7100100b884f6f79f3187efe8257ccd9267f8f0fd589d6f91",
+}
+
+
+@pytest.mark.parametrize("series, fmt", sorted(_WEIGHT_TEN_SHA256))
+def test_weight_ten_genus_output_is_pinned(capsys, series, fmt):
+    status, out, err = _invoke(
+        capsys, ["genus", "--series", series, "--weight", "10", "--format", fmt]
+    )
+    assert status == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _WEIGHT_TEN_SHA256[series, fmt]
 
 
 def test_manifold_text_output(capsys):
@@ -215,6 +237,9 @@ def test_repeat_runs_are_byte_identical(capsys):
         ["solve-bundle", "--n", "3"],
         ["solve-bundle", "--n", "4", "--require-section"],
         [],
+        ["genus", "--series", "L", "--weight", "\u0663"],
+        ["genus", "--series", "L", "--weight", "\u00b2"],
+        ["manifold", "--descriptor", "hp:\u0662"],
     ],
 )
 def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):
@@ -223,6 +248,31 @@ def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert err.startswith("genuscalc: error: ")
+
+
+@pytest.mark.parametrize(
+    "command, cap", [("genus", GENUS_MAX_WEIGHT), ("coeff", COEFF_MAX_WEIGHT)]
+)
+def test_weights_above_the_cap_are_refused_quickly(capsys, command, cap):
+    for weight in (cap + 1, 1200):
+        start = time.perf_counter()
+        status, out, err = _invoke(
+            capsys, [command, "--series", "L", "--weight", str(weight)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == ""
+        assert err == (
+            f"genuscalc: error: argument --weight: at most {cap} is supported, "
+            f"got {weight}\n"
+        )
+
+
+def test_genus_runs_at_its_cap(capsys):
+    status, out, err = _invoke(
+        capsys, ["genus", "--series", "L", "--weight", str(GENUS_MAX_WEIGHT)]
+    )
+    assert status == 0 and err == ""
+    assert out.count("\n") == GENUS_MAX_WEIGHT
 
 
 def test_help_exits_zero(capsys):

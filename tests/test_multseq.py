@@ -22,7 +22,12 @@ from genuscalc import (
     pont_character,
     pont_classes_from_character,
 )
-from oracles import expand_in_variables, power_sum, random_fraction
+from oracles import (
+    expand_in_variables,
+    genus_polys_by_powers,
+    power_sum,
+    random_fraction,
+)
 
 
 def test_partitions_descend_lexicographically():
@@ -137,6 +142,22 @@ def test_trivial_series_gives_trivial_sequence():
     pres = RingPresentation((("z", 4, 3),), 8)
     a = pres.one() + pres.gen("z") * 5
     assert evaluate_genus(table, a) == pres.one()
+
+
+def test_genus_table_matches_exp_by_powers_oracle():
+    rng = random.Random(2718)
+    random_series = Series([1] + [random_fraction(rng) for _ in range(8)], 8)
+    for q in (l_genus_series(8), ahat_genus_series(8), random_series):
+        table = genus_table(q, 8)
+        expected = genus_polys_by_powers(q.coefficients, 8)
+        assert [table.poly(i).terms for i in range(1, 9)] == expected, repr(q)
+
+
+def test_weight_zero_table_is_empty():
+    table = genus_table(l_genus_series(0), 0)
+    assert table.max_weight == 0
+    assert table.polys == ()
+    assert l_genus_table(0).polys == ahat_genus_table(0).polys == ()
 
 
 def test_genus_table_preconditions():
