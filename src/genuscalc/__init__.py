@@ -29,7 +29,7 @@ from .multseq import (
     pont_character,
     pont_classes_from_character,
 )
-from .rational import Rational, bernoulli, factorial, format_rational, parse_rational
+from .rational import bernoulli, factorial, format_rational, parse_rational
 from .ring import RingElement, RingPresentation
 from .series import Series, ahat_genus_series, l_genus_series
 from .surgery import (
@@ -54,7 +54,6 @@ __all__ = [
     "ManifoldModel",
     "NormalInvariantParams",
     "PartitionPoly",
-    "Rational",
     "RingElement",
     "RingPresentation",
     "Series",

@@ -34,6 +34,10 @@ _REPORTS = ("pontryagin", "signature", "ahat")
 # at the cap, and the cost grows quickly past it.
 COEFF_MAX_WEIGHT = 150
 GENUS_MAX_WEIGHT = 16
+# Largest weight (dimension / 4) of a manifold that `manifold` builds, and of
+# the base S^4 x HP^n (weight n + 1) of `pontryagin`, `surgery` and
+# `solve-bundle`.  Every command finishes in under a second at the cap.
+MODEL_MAX_WEIGHT = 48
 
 
 class CommandError(Exception):
@@ -55,7 +59,10 @@ def _rational_arg(text: str):
 def _nonneg_int_arg(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise argparse.ArgumentTypeError(f"{len(text)}-digit integer is too large") from None
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
@@ -73,6 +80,7 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> NormalInvariantParams:
+    _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
     return NormalInvariantParams(args.n, A=args.A, B=args.B, C=args.C, lam=args.lam)
 
 
@@ -95,13 +103,13 @@ def _params_lines(params: NormalInvariantParams) -> list[str]:
     ]
 
 
-def _check_weight(weight: int, cap: int) -> None:
-    if weight > cap:
-        raise CommandError(f"argument --weight: at most {cap} is supported, got {weight}")
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise CommandError(f"argument {flag}: at most {cap} is supported, got {value}")
 
 
 def _cmd_coeff(args: argparse.Namespace):
-    _check_weight(args.weight, COEFF_MAX_WEIGHT)
+    _check_cap("--weight", args.weight, COEFF_MAX_WEIGHT)
     series = _SERIES[args.series](args.weight)
     values = [format_rational(c) for c in series.coefficients]
     lines = [f"z^{k}: {v}" for k, v in enumerate(values)]
@@ -110,7 +118,7 @@ def _cmd_coeff(args: argparse.Namespace):
 
 
 def _cmd_genus(args: argparse.Namespace):
-    _check_weight(args.weight, GENUS_MAX_WEIGHT)
+    _check_cap("--weight", args.weight, GENUS_MAX_WEIGHT)
     table = _TABLES[args.series](args.weight)
     lines = []
     polys = []
@@ -130,7 +138,7 @@ def _cmd_genus(args: argparse.Namespace):
 
 
 def _cmd_manifold(args: argparse.Namespace):
-    model = parse_descriptor(args.descriptor)
+    model = parse_descriptor(args.descriptor, max_dimension=4 * MODEL_MAX_WEIGHT)
     wanted = [r.strip() for r in args.report.split(",") if r.strip()]
     for r in wanted:
         if r not in _REPORTS:
@@ -195,6 +203,7 @@ def _cmd_surgery(args: argparse.Namespace):
 
 
 def _cmd_solve_bundle(args: argparse.Namespace):
+    _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
     solution = solve_bundle(args.n, require_section=args.require_section)
     params = solution.params
     lines = _params_lines(params)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from typing import Callable
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .ring import RingElement, RingPresentation
@@ -133,27 +134,38 @@ def a_hat_genus(model: ManifoldModel) -> Fraction:
     return model.integrate(evaluate_genus(table, model.tangent_pontryagin))
 
 
-def _parse_atom(text: str) -> ManifoldModel:
-    if text.startswith("hp:"):
-        return hp_model(_parse_positive_int(text[3:], text))
-    if text.startswith("s:"):
-        return sphere_model(_parse_positive_int(text[2:], text))
+def _parse_atom(text: str) -> tuple[int, Callable[[], ManifoldModel]]:
+    """Dimension and builder of ``hp:<n>`` or ``s:<k>``, without building it."""
+    for prefix, scale, build in (("hp:", 4, hp_model), ("s:", 1, sphere_model)):
+        if text.startswith(prefix):
+            size = _parse_positive_int(text[len(prefix):], text)
+            return scale * size, partial(build, size)
     raise ValueError(f"unsupported manifold descriptor {text!r}")
 
 
 def _parse_positive_int(body: str, descriptor: str) -> int:
     if not (body.isascii() and body.isdigit()):
         raise ValueError(f"unsupported manifold descriptor {descriptor!r}")
-    return int(body)
+    try:
+        return int(body)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"manifold size with {len(body)} digits is too large") from None
 
 
-def parse_descriptor(text: str) -> ManifoldModel:
-    """Build a catalog manifold from ``hp:<n>``, ``s:<k>``, or ``product:a,b,...``."""
+def parse_descriptor(text: str, max_dimension: int | None = None) -> ManifoldModel:
+    """Build a catalog manifold from ``hp:<n>``, ``s:<k>``, or ``product:a,b,...``,
+    refusing one of dimension above max_dimension before building anything."""
     t = text.strip()
     if t.startswith("product:"):
-        body = t[len("product:"):]
-        parts = [p.strip() for p in body.split(",")]
+        parts = [p.strip() for p in t[len("product:"):].split(",")]
         if len(parts) < 2 or not all(parts):
             raise ValueError(f"product descriptor needs at least two factors, got {text!r}")
-        return reduce(product_model, (_parse_atom(p) for p in parts))
-    return _parse_atom(t)
+    else:
+        parts = [t]
+    atoms = [_parse_atom(p) for p in parts]
+    dimension = sum(d for d, _ in atoms)
+    if max_dimension is not None and dimension > max_dimension:
+        raise ValueError(
+            f"manifold dimension at most {max_dimension} is supported, got {dimension}"
+        )
+    return reduce(product_model, (build() for _, build in atoms))

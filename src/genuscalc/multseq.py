@@ -1,14 +1,15 @@
 """Multiplicative sequences and the rational Pontryagin character.
 
-The genus polynomials K_1..K_N attached to a characteristic series Q(z) are
-computed by the logarithmic method.  Write log Q(z) = sum_k c_k z^k and let
-s_k be the k-th power sum of the formal roots, expressed in the graded
-variables p_1, p_2, ... by Newton's identities.  The whole sequence is then
-1 + K_1 + K_2 + ... = exp(sum_k c_k s_k), where c_k s_k has weight k.  The
-exponential is built weight by weight from the graded recurrence
-n K_n = sum_{k=1..n} k c_k s_k K_{n-k} (Brent and Kung, J. ACM 1978), in
-which every product is already homogeneous of weight n.  This reproduces the
-defining property K(ab) = K(a)K(b) without any root-splitting bookkeeping.
+Everything here is the logarithmic method of Hirzebruch.  Write
+log Q(z) = sum_k c_k z^k for a characteristic series Q, and let s_k be the
+k-th power sum of the formal roots of a total class p = 1 + p_1 + p_2 + ...
+The genus of p is then exp(sum_k c_k s_k), where c_k s_k has weight k.  The
+power sums are read off the log of p itself: s_k = (-1)^{k+1} h_k with
+h_k = k [log p]_k.  So a genus is evaluated in the class's own ring with one
+log-derivative and one exp recurrence from `series`, the Pontryagin
+character is a rescaling of the h_k, and its inverse is one more exp.  The
+genus polynomials K_1..K_N are the same exp taken in the partition algebra,
+with p_i as variables; they are built only for display.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Mapping
 
 from .formatting import signed_sum
 from .ring import RingElement
-from .series import Series, ahat_genus_series, l_genus_series
+from .series import Series, ahat_genus_series, exp_parts, l_genus_series, log_derivative_parts
 
 __all__ = [
     "GenusTable",
@@ -88,10 +89,6 @@ class PartitionPoly:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> PartitionPoly:
-        return cls()
-
-    @classmethod
     def one(cls) -> PartitionPoly:
         return cls({(): Fraction(1)})
 
@@ -147,25 +144,6 @@ class PartitionPoly:
             return self * other
         return NotImplemented
 
-    def evaluate(self, one: RingElement, values: Mapping[int, RingElement]) -> RingElement:
-        """Substitute values[i] for p_i; variables missing from the map are zero."""
-        result = one * 0
-        for part, coeff in self._terms.items():
-            term = one
-            for i in part:
-                v = values.get(i)
-                if v is None:
-                    term = None
-                    break
-                term = term * v
-                if not term:
-                    term = None
-                    break
-            if term is None:
-                continue
-            result = result + term * coeff
-        return result
-
     def __str__(self) -> str:
         ordered = sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
         return signed_sum((c, _partition_monomial(p)) for p, c in ordered)
@@ -192,65 +170,73 @@ class PartitionPoly:
 
 @lru_cache(maxsize=None)
 def newton_power_sums(max_weight: int) -> tuple[PartitionPoly, ...]:
-    """Power sums s_1..s_N written in the graded variables via Newton's identities.
-
-    s_k = p_1 s_{k-1} - p_2 s_{k-2} + ... + (-1)^{k-1} k p_k, reading p_i as
-    the i-th elementary symmetric function of the underlying roots.
-    """
+    """Power sums s_1..s_N of the roots in the p_i, read as their elementary
+    symmetric functions: by Newton's identity s_n = (-1)^{n+1} h_n, with h the
+    log-derivative parts of 1 + p_1 + ... + p_N."""
     if max_weight < 0:
         raise ValueError(f"max weight must be >= 0, got {max_weight}")
-    sums: list[PartitionPoly] = []
-    for k in range(1, max_weight + 1):
-        acc = PartitionPoly.variable(k) * Fraction((-1) ** (k - 1) * k)
-        for j in range(1, k):
-            acc = acc + PartitionPoly.variable(j) * sums[k - j - 1] * Fraction((-1) ** (j - 1))
-        sums.append(acc)
-    return tuple(sums)
+    parts = [PartitionPoly.one()] + [PartitionPoly.variable(k) for k in range(1, max_weight + 1)]
+    graded = log_derivative_parts(parts)
+    return tuple(graded[k] * (-1) ** (k + 1) for k in range(1, max_weight + 1))
 
 
 class GenusTable:
-    """Genus polynomials K_1..K_N of a characteristic power series."""
+    """Multiplicative sequence of a characteristic power series up to weight N.
 
-    __slots__ = ("_series", "_polys")
+    Evaluation needs only the log coefficients of the series; the genus
+    polynomials K_1..K_N are for display and are built when first read.
+    """
 
-    def __init__(self, series: Series, polys: tuple[PartitionPoly, ...]):
+    __slots__ = ("_series", "_log", "_polys")
+
+    def __init__(self, series: Series):
         self._series = series
-        self._polys = tuple(polys)
+        self._log = series.log().coefficients
+        self._polys: tuple[PartitionPoly, ...] | None = None
 
     @property
     def series(self) -> Series:
         return self._series
 
     @property
+    def log_coefficients(self) -> tuple[Fraction, ...]:
+        """c_0..c_N with log Q(z) = sum_k c_k z^k; c_0 = 0."""
+        return self._log
+
+    @property
     def polys(self) -> tuple[PartitionPoly, ...]:
+        """K_1..K_N: the weight parts of exp(sum_k c_k s_k), with s_k the
+        Newton power sums, from the graded recurrence of `exp_parts`."""
+        if self._polys is None:
+            sums = newton_power_sums(self.max_weight)
+            graded = [PartitionPoly()] + [
+                sums[k - 1] * (k * self._log[k]) for k in range(1, self.max_weight + 1)
+            ]
+            self._polys = tuple(exp_parts(graded, PartitionPoly.one())[1:])
         return self._polys
 
     @property
     def max_weight(self) -> int:
-        return len(self._polys)
+        return self._series.order
 
     def poly(self, i: int) -> PartitionPoly:
         """K_i, 1-indexed."""
-        if not 1 <= i <= len(self._polys):
-            raise ValueError(f"index {i} outside 1..{len(self._polys)}")
-        return self._polys[i - 1]
+        if not 1 <= i <= self.max_weight:
+            raise ValueError(f"index {i} outside 1..{self.max_weight}")
+        return self.polys[i - 1]
 
     def leading_coefficient(self, n: int) -> Fraction:
-        """Coefficient of the singleton monomial p_n in K_n."""
-        return self.poly(n).coefficient((n,))
+        """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is (-1)^{n+1} n c_n."""
+        if not 1 <= n <= self.max_weight:
+            raise ValueError(f"index {n} outside 1..{self.max_weight}")
+        return (-1) ** (n + 1) * n * self._log[n]
 
     def __repr__(self) -> str:
         return f"<GenusTable of weight {self.max_weight} for {self._series!r}>"
 
 
 def genus_table(q: Series, max_weight: int) -> GenusTable:
-    """Genus polynomials of the multiplicative sequence attached to q.
-
-    With c_k the log coefficients of q and s_k the Newton power sums, the
-    weight-k part of the exponent is E_k = k c_k s_k, and K_0 = 1,
-    K_n = (1/n) sum_{k=1..n} E_k K_{n-k}.  Requires q to have constant term 1
-    and order >= max_weight.
-    """
+    """Genus table of q, which needs constant term 1 and order >= max_weight."""
     if max_weight < 0:
         raise ValueError(f"max weight must be >= 0, got {max_weight}")
     if q.coefficients[0] != 1:
@@ -259,16 +245,7 @@ def genus_table(q: Series, max_weight: int) -> GenusTable:
         raise ValueError(
             f"series order {q.order} is too small for weight {max_weight}"
         )
-    log_coeffs = q.truncate(max_weight).log().coefficients
-    sums = newton_power_sums(max_weight)
-    graded = [sums[k - 1] * (k * log_coeffs[k]) for k in range(1, max_weight + 1)]
-    polys = [PartitionPoly.one()]
-    for n in range(1, max_weight + 1):
-        acc = PartitionPoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + graded[k - 1] * polys[n - k]
-        polys.append(acc * Fraction(1, n))
-    return GenusTable(q.truncate(max_weight), tuple(polys[1:]))
+    return GenusTable(q.truncate(max_weight))
 
 
 @lru_cache(maxsize=None)
@@ -283,62 +260,60 @@ def ahat_genus_table(max_weight: int) -> GenusTable:
     return genus_table(ahat_genus_series(max_weight), max_weight)
 
 
+def _unit_class_parts(total_class: RingElement, max_weight: int) -> list[RingElement]:
+    """Parts of degree 0, 4, ..., 4N of a class with constant term 1."""
+    if total_class.constant_term() != 1:
+        raise ValueError("total class must have constant term 1")
+    return [total_class.homogeneous_part(4 * i) for i in range(max_weight + 1)]
+
+
 def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
     """Evaluate the multiplicative sequence on a total class with constant term 1.
 
-    The degree-4i part of the class plays the role of p_i; the result is
-    1 + sum_i K_i(p_1..p_i) inside the class's own ring.
+    The degree-4i part of the class plays the role of p_i, and the result
+    1 + sum_i K_i(p_1..p_i) is computed in the class's own ring as
+    exp(sum_k c_k s_k): with h_k the log-derivative parts of the class,
+    s_k = (-1)^{k+1} h_k, so the exponent has D-parts (-1)^{k+1} k c_k h_k.
     """
     pres = total_class.presentation
-    if total_class.constant_term() != 1:
-        raise ValueError("total class must have constant term 1")
     needed = pres.top_degree // 4
+    parts = _unit_class_parts(total_class, needed)
     if table.max_weight < needed:
         raise ValueError(
             f"genus table of weight {table.max_weight} cannot cover a ring "
             f"truncated at degree {pres.top_degree}"
         )
-    values = {i: total_class.homogeneous_part(4 * i) for i in range(1, needed + 1)}
-    result = pres.one()
-    for i in range(1, needed + 1):
-        result = result + table.poly(i).evaluate(pres.one(), values)
-    return result
+    graded = log_derivative_parts(parts)
+    c = table.log_coefficients
+    for k in range(1, needed + 1):
+        graded[k] = graded[k] * ((-1) ** (k + 1) * k * c[k])
+    return sum(exp_parts(graded, pres.one()), pres.zero())
 
 
 def pont_character(total_class: RingElement, max_weight: int) -> list[RingElement]:
     """Components ph_1..ph_N of the Chern character of the complexification.
 
-    The complexification of a bundle with total class p has Chern classes
-    c_{2i} = (-1)^i p_i and zero odd classes; ph_i is then the 2i-th Newton
-    power sum of the c_j divided by (2i)!.
+    With formal roots p = prod_j (1 + x_j^2), the complexification has Chern
+    roots +-x_j, so ph_k = 2 sum_j x_j^{2k} / (2k)! = 2 (-1)^{k+1} h_k / (2k)!,
+    where h_k are the log-derivative parts of p.  Components above the top
+    degree of the ring are zero.
     """
     pres = total_class.presentation
-    if total_class.constant_term() != 1:
-        raise ValueError("total class must have constant term 1")
+    weight = min(max_weight, pres.top_degree // 4)
+    parts = _unit_class_parts(total_class, weight)
     if max_weight < 1:
         raise ValueError(f"max weight must be >= 1, got {max_weight}")
-    chern: dict[int, RingElement] = {}
-    for i in range(1, max_weight + 1):
-        if 4 * i > pres.top_degree:
-            continue
-        p_i = total_class.homogeneous_part(4 * i)
-        if p_i:
-            chern[2 * i] = p_i if i % 2 == 0 else -p_i
-    sums = newton_power_sums(2 * max_weight)
-    out = []
-    for i in range(1, max_weight + 1):
-        s = sums[2 * i - 1].evaluate(pres.one(), chern)
-        out.append(s * Fraction(1, factorial(2 * i)))
-    return out
+    graded = log_derivative_parts(parts)
+    out = [graded[k] * Fraction(2 * (-1) ** (k + 1), factorial(2 * k)) for k in range(1, weight + 1)]
+    return out + [pres.zero()] * (max_weight - weight)
 
 
 def pont_classes_from_character(character: list[RingElement]) -> RingElement:
     """Total class with the given character components ph_1..ph_N.
 
-    Inverts pont_character by weight induction: at each step the degree-4i
-    discrepancy between the target ph_i and the character of the classes
-    recovered so far determines p_i, because ph_i depends on p_i only
-    through the linear term (-1)^{i+1} p_i / (2i-1)!.
+    Inverts pont_character: the power sums are s_k = (2k)! ph_k / 2, and
+    p = exp(sum_k (-1)^{k+1} s_k / k), whose exponent has D-parts
+    (-1)^{k+1} (2k)! ph_k / 2.  The result has no parts above degree 4N.
     """
     components = list(character)
     if not components:
@@ -348,14 +323,10 @@ def pont_classes_from_character(character: list[RingElement]) -> RingElement:
         if comp.presentation != pres:
             raise ValueError("character components come from different presentations")
         d = 4 * i
-        if d <= pres.top_degree:
-            if comp.homogeneous_part(d) != comp:
-                raise ValueError(f"component {i} is not homogeneous of degree {d}")
-        elif comp:
+        if comp and (d > pres.top_degree or comp.homogeneous_part(d) != comp):
             raise ValueError(f"component {i} is not homogeneous of degree {d}")
-    total = pres.one()
-    for i in range(1, len(components) + 1):
-        partial = pont_character(total, i)[i - 1]
-        delta = components[i - 1] - partial
-        total = total + delta * Fraction((-1) ** (i + 1) * factorial(2 * i - 1))
-    return total
+    graded = [pres.zero()] + [
+        comp * Fraction((-1) ** (k + 1) * factorial(2 * k), 2)
+        for k, comp in enumerate(components, start=1)
+    ]
+    return sum(exp_parts(graded, pres.one()), pres.zero())

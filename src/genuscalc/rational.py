@@ -1,8 +1,8 @@
 """Exact rational scalars: parsing, formatting, factorials, Bernoulli numbers.
 
-Every computation in this package runs on `fractions.Fraction`, re-exported
-here as `Rational`.  Results are always in canonical reduced form with a
-positive denominator; nothing is ever rounded.
+Every computation in this package runs on `fractions.Fraction`.  Results
+are always in canonical reduced form with a positive denominator; nothing is
+ever rounded.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import re
 from fractions import Fraction
 from math import comb, factorial
 
-__all__ = ["Rational", "bernoulli", "factorial", "format_rational", "parse_rational"]
-
-Rational = Fraction
+__all__ = ["bernoulli", "factorial", "format_rational", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 

@@ -12,9 +12,11 @@ always reduced.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .formatting import signed_sum
+from .series import inverse_parts
 
 __all__ = ["RingElement", "RingPresentation"]
 
@@ -237,25 +239,16 @@ class RingElement:
     def inverse(self) -> RingElement:
         """Multiplicative inverse of a unit (nonzero constant term).
 
-        With a = c(1 + x) and x in the augmentation ideal, the inverse is
-        the finite geometric series (1/c) * sum_k (-x)^k, which terminates
-        because x is nilpotent under the truncation.
+        Every monomial degree is a multiple of the gcd g of the generator
+        degrees, so the inverse is built from the parts of degree 0, g, 2g, ...
+        by the graded recurrence of `inverse_parts`.
         """
         c = self.constant_term()
         if not c:
             raise ValueError("element with zero constant term is not invertible")
-        one = self._pres.one()
-        minus_x = one - self * (1 / c)
-        acc = one
-        power = one
-        degrees = self._pres.degrees
-        steps = self._pres.top_degree // min(degrees) + 1 if degrees else 0
-        for _ in range(steps):
-            power = power * minus_x
-            if not power:
-                break
-            acc = acc + power
-        return acc * (1 / c)
+        step = gcd(*self._pres.degrees) or 1
+        parts = [self.homogeneous_part(d) for d in range(0, self._pres.top_degree + 1, step)]
+        return sum(inverse_parts(parts, c), self._pres.zero())
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
         pieces = []

@@ -1,4 +1,5 @@
-"""Truncated univariate power series over exact rationals.
+"""Truncated univariate power series over exact rationals, and the graded
+inverse, log and exp recurrences that every truncated algebra here shares.
 
 Also builds the two characteristic series driving everything else: the
 signature genus series sqrt(z)/tanh(sqrt(z)) and the A-hat genus series
@@ -11,10 +12,50 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 from .formatting import signed_sum
 
-__all__ = ["Series", "ahat_genus_series", "l_genus_series"]
+__all__ = ["Series", "ahat_genus_series", "exp_parts", "inverse_parts",
+           "l_genus_series", "log_derivative_parts"]
+
+# The recurrences below act on the homogeneous parts a_0..a_N of an element
+# of a truncated graded algebra (series coefficients, ring classes by degree,
+# partition polynomials by weight).  They are exact because the grading
+# operator D(a) = sum_k k a_k is a derivation (Brent and Kung, J. ACM 1978).
+
+
+def _convolve(a: Sequence, b: Sequence, n: int):
+    """sum_{k=1..n} a_k b_{n-k}, skipping zero factors."""
+    return sum((a[k] * b[n - k] for k in range(1, n + 1) if a[k] and b[n - k]), b[0] * 0)
+
+
+def inverse_parts(parts: Sequence, c0: Fraction) -> list:
+    """Parts b_0..b_N of the inverse of a_0 + ... + a_N, where a_0 = c0 * 1:
+    b_0 = 1/c0 and b_n = -(1/c0) sum_{k=1..n} a_k b_{n-k}."""
+    inv = 1 / Fraction(c0)
+    out = [parts[0] * (inv * inv)]
+    for n in range(1, len(parts)):
+        out.append(_convolve(parts, out, n) * -inv)
+    return out
+
+
+def log_derivative_parts(parts: Sequence) -> list:
+    """Parts h_0..h_N of D(log a) for a = 1 + a_1 + ... + a_N, so h_n = n [log a]_n:
+    h_0 = 0 and h_n = n a_n - sum_{k=1..n-1} h_k a_{n-k}."""
+    out = [parts[0] * 0]
+    for n in range(1, len(parts)):
+        out.append(parts[n] * n - _convolve(parts, out, n))
+    return out
+
+
+def exp_parts(graded: Sequence, one) -> list:
+    """Parts e_0..e_N of exp(f) from the parts h_0..h_N of D(f), h_0 ignored:
+    e_0 = 1 and n e_n = sum_{k=1..n} h_k e_{n-k}."""
+    out = [one]
+    for n in range(1, len(graded)):
+        out.append(_convolve(graded, out, n) * Fraction(1, n))
+    return out
 
 
 class Series:
@@ -111,49 +152,25 @@ class Series:
         return result
 
     def inverse(self) -> Series:
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Coefficients come from the standard recurrence
-        b_0 = 1/a_0,  b_m = -(1/a_0) * sum_{k=1}^{m} a_k b_{m-k}.
-        """
+        """Multiplicative inverse; requires a nonzero constant term."""
         c0 = self._coeffs[0]
         if not c0:
             raise ValueError("series with zero constant term is not invertible")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / c0
-        for m in range(1, n + 1):
-            acc = sum(self._coeffs[k] * out[m - k] for k in range(1, m + 1))
-            out[m] = -acc / c0
-        return Series(out, n)
+        return Series(inverse_parts(self._coeffs, c0), self.order)
 
     def exp(self) -> Series:
         """Exponential of a series with zero constant term."""
         if self._coeffs[0]:
             raise ValueError("exp requires a zero constant term")
-        acc = Series([1], self.order)
-        term = Series([1], self.order)
-        for m in range(1, self.order + 1):
-            term = term * self * Fraction(1, m)
-            acc = acc + term
-        return acc
+        graded = [k * c for k, c in enumerate(self._coeffs)]
+        return Series(exp_parts(graded, Fraction(1)), self.order)
 
     def log(self) -> Series:
         """Logarithm of a series with constant term 1."""
         if self._coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        x = self - Series([1], self.order)
-        acc = Series([0], self.order)
-        power = Series([1], self.order)
-        for m in range(1, self.order + 1):
-            power = power * x
-            acc = acc + power * Fraction((-1) ** (m + 1), m)
-        return acc
-
-    def dilate(self, factor: Fraction | int) -> Series:
-        """Substitute factor*z for z."""
-        scale = Fraction(factor)
-        return Series([c * scale**k for k, c in enumerate(self._coeffs)], self.order)
+        graded = log_derivative_parts(self._coeffs)
+        return Series([0] + [h / k for k, h in enumerate(graded[1:], 1)], self.order)
 
     def __str__(self) -> str:
         def mono(k: int) -> str:

@@ -2,8 +2,9 @@
 
 Nothing here shares algorithms with the package: symmetric functions are
 expanded literally in explicit variables, products are naive dictionary
-convolutions, Bernoulli numbers come from a different scheme, and binomial
-series are summed term by term from math.comb.
+convolutions, Bernoulli numbers come from a different scheme, binomial
+series are summed term by term from math.comb, and genera and characters are
+evaluated by substituting ring classes into every partition monomial.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 
 def random_fraction(rng: random.Random, span: int = 9, max_den: int = 9) -> Fraction:
@@ -130,6 +131,19 @@ def partition_dict_mul(p: dict, q: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def newton_power_sum_dicts(max_weight: int) -> list[dict]:
+    """s_1..s_N in the p_i by the classical form of Newton's identities,
+    s_k = p_1 s_{k-1} - p_2 s_{k-2} + ... + (-1)^{k-1} k p_k."""
+    sums: list[dict] = []
+    for k in range(1, max_weight + 1):
+        acc = {(k,): Fraction((-1) ** (k - 1) * k)}
+        for j in range(1, k):
+            step = partition_dict_mul({(j,): Fraction(1)}, sums[k - j - 1])
+            acc = var_poly_add(acc, var_poly_scale(step, Fraction((-1) ** (j - 1))))
+        sums.append(acc)
+    return sums
+
+
 def genus_polys_by_powers(coeffs: list, max_weight: int) -> list[dict]:
     """K_1..K_N of the series 1 + coeffs[1] z + ... as partition-keyed dicts.
 
@@ -143,13 +157,7 @@ def genus_polys_by_powers(coeffs: list, max_weight: int) -> list[dict]:
     for n in range(1, max_weight + 1):
         inner = sum((k * log[k] * a[n - k] for k in range(1, n)), Fraction(0))
         log.append(a[n] - inner / n)
-    sums: list[dict] = []
-    for k in range(1, max_weight + 1):
-        acc = {(k,): Fraction((-1) ** (k - 1) * k)}
-        for j in range(1, k):
-            step = partition_dict_mul({(j,): Fraction(1)}, sums[k - j - 1])
-            acc = var_poly_add(acc, var_poly_scale(step, Fraction((-1) ** (j - 1))))
-        sums.append(acc)
+    sums = newton_power_sum_dicts(max_weight)
     exponent: dict = {}
     for k in range(1, max_weight + 1):
         exponent = var_poly_add(exponent, var_poly_scale(sums[k - 1], log[k]))
@@ -164,5 +172,48 @@ def genus_polys_by_powers(coeffs: list, max_weight: int) -> list[dict]:
         total = var_poly_add(total, power)
     return [
         {p: c for p, c in total.items() if sum(p) == i}
+        for i in range(1, max_weight + 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation by substituting ring classes into every partition monomial.
+
+
+def substitute_partitions(terms: dict, one, values: dict):
+    """sum of coeff * prod_i values[i] over the partition monomials of terms;
+    a variable missing from values is zero."""
+    result = one * 0
+    for part, coeff in terms.items():
+        if all(i in values for i in part):
+            term = one
+            for i in part:
+                term = term * values[i]
+            result = result + term * coeff
+    return result
+
+
+def genus_by_substitution(polys: list[dict], total_class):
+    """1 + sum_i K_i(p_1..p_i), reading p_i as the degree-4i part of the class."""
+    pres = total_class.presentation
+    weight = pres.top_degree // 4
+    values = {i: total_class.homogeneous_part(4 * i) for i in range(1, weight + 1)}
+    result = pres.one()
+    for terms in polys[:weight]:
+        result = result + substitute_partitions(terms, pres.one(), values)
+    return result
+
+
+def character_by_newton(total_class, max_weight: int) -> list:
+    """ph_i = s_{2i}(c) / (2i)! for the Chern classes c_{2i} = (-1)^i p_i of
+    the complexification (odd Chern classes zero)."""
+    pres = total_class.presentation
+    chern = {
+        2 * i: total_class.homogeneous_part(4 * i) * (-1) ** i
+        for i in range(1, pres.top_degree // 4 + 1)
+    }
+    sums = newton_power_sum_dicts(2 * max_weight)
+    return [
+        substitute_partitions(sums[2 * i - 1], pres.one(), chern) * Fraction(1, factorial(2 * i))
         for i in range(1, max_weight + 1)
     ]

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
-from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, run
+from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, MODEL_MAX_WEIGHT, run
+
+_HUGE = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
 
 
 def _invoke(capsys, argv):
@@ -240,6 +242,10 @@ def test_repeat_runs_are_byte_identical(capsys):
         ["genus", "--series", "L", "--weight", "\u0663"],
         ["genus", "--series", "L", "--weight", "\u00b2"],
         ["manifold", "--descriptor", "hp:\u0662"],
+        ["genus", "--series", "L", "--weight", _HUGE],
+        ["manifold", "--descriptor", "hp:" + _HUGE],
+        ["manifold", "--descriptor", "s:" + _HUGE],
+        ["surgery", "--n", _HUGE],
     ],
 )
 def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):
@@ -273,6 +279,49 @@ def test_genus_runs_at_its_cap(capsys):
     )
     assert status == 0 and err == ""
     assert out.count("\n") == GENUS_MAX_WEIGHT
+
+
+_TOP_DIM = 4 * MODEL_MAX_WEIGHT
+_N_CAP = MODEL_MAX_WEIGHT - 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["manifold", "--descriptor", f"hp:{MODEL_MAX_WEIGHT + 1}"],
+         f"manifold dimension at most {_TOP_DIM} is supported, got {_TOP_DIM + 4}"),
+        (["manifold", "--descriptor", "s:1200"],
+         f"manifold dimension at most {_TOP_DIM} is supported, got 1200"),
+        (["manifold", "--descriptor", f"product:s:4,hp:{MODEL_MAX_WEIGHT}"],
+         f"manifold dimension at most {_TOP_DIM} is supported, got {_TOP_DIM + 4}"),
+        (["surgery", "--n", str(_N_CAP + 1), "--A", "1"],
+         f"argument --n: at most {_N_CAP} is supported, got {_N_CAP + 1}"),
+        (["pontryagin", "--n", "1200"], f"argument --n: at most {_N_CAP} is supported, got 1200"),
+        (["solve-bundle", "--n", str(_N_CAP + 1)],
+         f"argument --n: at most {_N_CAP} is supported, got {_N_CAP + 1}"),
+        (["genus", "--series", "L", "--weight", _HUGE],
+         "argument --weight: 5000-digit integer is too large"),
+        (["manifold", "--descriptor", "hp:" + _HUGE], "manifold size with 5000 digits is too large"),
+    ],
+)
+def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
+    start = time.perf_counter()
+    status, out, err = _invoke(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert err == f"genuscalc: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["manifold", "--descriptor", f"hp:{MODEL_MAX_WEIGHT}"],
+        ["surgery", "--n", str(_N_CAP), "--A", "1", "--C", "1"],
+    ],
+)
+def test_models_at_the_cap_run(capsys, argv):
+    status, out, err = _invoke(capsys, argv)
+    assert status == 0 and err == ""
 
 
 def test_help_exits_zero(capsys):

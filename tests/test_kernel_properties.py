@@ -1,0 +1,112 @@
+"""Property tests for the graded inverse/log/exp recurrences over random
+presentations: mixed generator degrees exercise the gcd step of the ring
+inverse, and genus evaluation and the character run through the log and exp
+recurrences inside the ring."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from genuscalc import (
+    RingPresentation,
+    Series,
+    evaluate_genus,
+    genus_table,
+    pont_character,
+    pont_classes_from_character,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def presentations(draw):
+    specs = draw(
+        st.lists(
+            st.tuples(st.sampled_from((2, 4, 6, 8)), st.integers(1, 4)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    top = draw(st.integers(0, 24))
+    return RingPresentation(
+        ((f"g{i}", deg, nil) for i, (deg, nil) in enumerate(specs)), top
+    )
+
+
+def _monomials(pres, step=2):
+    out = [()]
+    for n in pres.nilpotencies:
+        out = [e + (i,) for e in out for i in range(n)]
+    return [
+        e
+        for e in out
+        if pres.monomial_degree(e) <= pres.top_degree
+        and pres.monomial_degree(e) % step == 0
+    ]
+
+
+def _element(draw, pres, constant, step=2):
+    """Random element with the given constant term, supported in degrees
+    divisible by step."""
+    terms = {e: draw(rationals) for e in _monomials(pres, step) if any(e)}
+    terms[(0,) * pres.ngens] = constant
+    return pres.element(terms)
+
+
+@st.composite
+def units(draw):
+    pres = draw(presentations())
+    constant = draw(rationals.filter(bool))
+    return _element(draw, pres, constant)
+
+
+@st.composite
+def pontryagin_pairs(draw):
+    """Two classes with constant term 1 in degrees divisible by 4, and a table
+    of a random series covering the ring."""
+    pres = draw(presentations())
+    weight = pres.top_degree // 4
+    q = Series([1] + [draw(rationals) for _ in range(weight)], weight)
+    a = _element(draw, pres, 1, step=4)
+    b = _element(draw, pres, 1, step=4)
+    return genus_table(q, weight), a, b
+
+
+# Degrees 4 and 6 without 2: stepping by the smallest degree instead of the
+# gcd would miss the degree-6 part.
+_MIXED = RingPresentation((("g0", 4, 3), ("g1", 6, 2)), 14)
+
+
+@SETTINGS
+@given(units())
+@example(2 * _MIXED.one() + _MIXED.gen("g0") + 3 * _MIXED.gen("g1"))
+def test_ring_inverse_multiplies_back_to_one(a):
+    assert a * a.inverse() == a.presentation.one()
+    assert a.inverse() * a == a.presentation.one()
+
+
+@SETTINGS
+@given(pontryagin_pairs())
+def test_character_inversion_round_trips(data):
+    _, p, _ = data
+    max_weight = max(1, p.presentation.top_degree // 4)
+    assert pont_classes_from_character(pont_character(p, max_weight)) == p
+
+
+@SETTINGS
+@given(pontryagin_pairs())
+def test_genus_evaluation_is_multiplicative(data):
+    table, a, b = data
+    assert evaluate_genus(table, a * b) == evaluate_genus(table, a) * evaluate_genus(table, b)
+
+
+@SETTINGS
+@given(st.lists(rationals, min_size=1, max_size=12))
+def test_series_log_exp_round_trips(tail):
+    order = len(tail)
+    unit = Series([1] + tail, order)
+    nilpotent = Series([0] + tail, order)
+    assert unit.log().exp() == unit
+    assert nilpotent.exp().log() == nilpotent

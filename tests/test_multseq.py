@@ -12,6 +12,7 @@ from genuscalc import (
     Series,
     ahat_genus_series,
     ahat_genus_table,
+    ambient_model,
     bernoulli,
     evaluate_genus,
     genus_table,
@@ -23,7 +24,9 @@ from genuscalc import (
     pont_classes_from_character,
 )
 from oracles import (
+    character_by_newton,
     expand_in_variables,
+    genus_by_substitution,
     genus_polys_by_powers,
     power_sum,
     random_fraction,
@@ -153,6 +156,29 @@ def test_genus_table_matches_exp_by_powers_oracle():
         assert [table.poly(i).terms for i in range(1, 9)] == expected, repr(q)
 
 
+def test_leading_coefficient_matches_table_polys():
+    for table in (l_genus_table(10), ahat_genus_table(10)):
+        for n in range(1, 11):
+            assert table.leading_coefficient(n) == table.poly(n).coefficient((n,)), n
+    with pytest.raises(ValueError):
+        l_genus_table(3).leading_coefficient(4)
+
+
+def test_evaluate_genus_matches_partition_substitution_oracle():
+    rng = random.Random(1729)
+    random_series = Series([1] + [random_fraction(rng) for _ in range(8)], 8)
+    for q in (l_genus_series(8), ahat_genus_series(8), random_series):
+        polys = genus_polys_by_powers(q.coefficients, 8)
+        for n in range(1, 8):
+            model = ambient_model(n)
+            table = genus_table(q, n + 1)
+            classes = [model.tangent_pontryagin] + [
+                _random_total_class(rng, model.presentation) for _ in range(3)
+            ]
+            for p in classes:
+                assert evaluate_genus(table, p) == genus_by_substitution(polys, p), (q, n)
+
+
 def test_weight_zero_table_is_empty():
     table = genus_table(l_genus_series(0), 0)
     assert table.max_weight == 0
@@ -229,7 +255,8 @@ def test_genus_of_split_bundle_is_product_of_series():
             p_series = Series([1, 1], n) ** (2 * n + 2) * Series([1, 4], n).inverse()
             p_class = pres.element({(k,): p_series[k] for k in range(n + 1)})
             q = build_series(n)
-            expected_series = q ** (2 * n + 2) * q.dilate(4).inverse()
+            q_of_4z = Series([c * 4**k for k, c in enumerate(q.coefficients)], n)
+            expected_series = q ** (2 * n + 2) * q_of_4z.inverse()
             expected = pres.element({(k,): expected_series[k] for k in range(n + 1)})
             assert evaluate_genus(build_table(n), p_class) == expected, f"n={n}"
 
@@ -262,6 +289,16 @@ def test_pont_character_linear_term_when_products_vanish():
         for i, c in enumerate(coeffs, start=1):
             expected = u * z ** (i - 1) * (c * Fraction((-1) ** (i + 1), factorial(2 * i - 1)))
             assert character[i - 1] == expected
+
+
+def test_pont_character_matches_newton_substitution_oracle():
+    rng = random.Random(4242)
+    for n in range(1, 5):
+        pres = ambient_model(n).presentation
+        for _ in range(5):
+            p = _random_total_class(rng, pres)
+            for max_weight in (n, n + 1, n + 2):
+                assert pont_character(p, max_weight) == character_by_newton(p, max_weight)
 
 
 def test_character_inversion_recovers_bundle_classes():

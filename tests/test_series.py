@@ -103,11 +103,6 @@ def test_power_matches_repeated_multiplication():
         a ** (-1)
 
 
-def test_dilate_rescales_argument():
-    a = Series([1, 1, 1], 2)
-    assert a.dilate(4) == Series([1, 4, 16], 2)
-
-
 def test_l_genus_series_frozen_coefficients():
     assert l_genus_series(3) == Series(
         [1, Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945)], 3
