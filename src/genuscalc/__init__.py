@@ -19,17 +19,17 @@ from .manifolds import (
 )
 from .multseq import (
     GenusTable,
-    PartitionPoly,
     ahat_genus_table,
     evaluate_genus,
+    factored_str,
     genus_table,
     l_genus_table,
     newton_power_sums,
-    partitions,
+    partition_terms,
     pont_character,
     pont_classes_from_character,
 )
-from .rational import bernoulli, factorial, format_rational, parse_rational
+from .rational import factorial, format_rational, parse_rational
 from .ring import RingElement, RingPresentation
 from .series import Series, ahat_genus_series, l_genus_series
 from .surgery import (
@@ -53,7 +53,6 @@ __all__ = [
     "GenusTable",
     "ManifoldModel",
     "NormalInvariantParams",
-    "PartitionPoly",
     "RingElement",
     "RingPresentation",
     "Series",
@@ -62,9 +61,9 @@ __all__ = [
     "ahat_genus_series",
     "ahat_genus_table",
     "ambient_model",
-    "bernoulli",
     "evaluate_genus",
     "factorial",
+    "factored_str",
     "format_rational",
     "general_a_hat_coefficient",
     "general_obstruction_coefficients",
@@ -76,7 +75,7 @@ __all__ = [
     "p1_cubed_total_space",
     "parse_descriptor",
     "parse_rational",
-    "partitions",
+    "partition_terms",
     "point_model",
     "pont_character",
     "pont_classes_from_character",

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .manifolds import a_hat_genus, parse_descriptor, signature
-from .multseq import ahat_genus_table, l_genus_table, pont_character
+from .multseq import ahat_genus_table, factored_str, l_genus_table, partition_terms, pont_character
 from .rational import format_rational, parse_rational
 from .series import ahat_genus_series, l_genus_series
 from .surgery import (
@@ -124,12 +124,12 @@ def _cmd_genus(args: argparse.Namespace):
     polys = []
     for i in range(1, args.weight + 1):
         poly = table.poly(i)
-        text = poly.factored_str()
+        text = factored_str(poly)
         lines.append(f"K_{i} = {text}")
         terms = [
             {"partition": list(part), "coefficient": format_rational(coeff)}
             for part, coeff in sorted(
-                poly.terms.items(), key=lambda kv: tuple(-p for p in kv[0])
+                partition_terms(poly).items(), key=lambda kv: tuple(-p for p in kv[0])
             )
         ]
         polys.append({"weight": i, "text": text, "terms": terms})
@@ -277,10 +277,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         lines, payload = args.handler(args)
-    except CommandError as exc:
-        print(f"genuscalc: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CommandError, ValueError, RuntimeError) as exc:
         print(f"genuscalc: error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

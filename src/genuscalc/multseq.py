@@ -8,8 +8,9 @@ power sums are read off the log of p itself: s_k = (-1)^{k+1} h_k with
 h_k = k [log p]_k.  So a genus is evaluated in the class's own ring with one
 log-derivative and one exp recurrence from `series`, the Pontryagin
 character is a rescaling of the h_k, and its inverse is one more exp.  The
-genus polynomials K_1..K_N are the same exp taken in the partition algebra,
-with p_i as variables; they are built only for display.
+genus polynomials K_1..K_N are the same exp taken in Q[p_1..p_N], graded by
+|p_i| = 4i; they are built only for display, where their monomials are
+written as partitions.
 """
 
 from __future__ import annotations
@@ -18,40 +19,25 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import factorial, lcm
-from typing import Iterator, Mapping
 
 from .formatting import signed_sum
-from .ring import RingElement
+from .ring import RingElement, RingPresentation
 from .series import Series, ahat_genus_series, exp_parts, l_genus_series, log_derivative_parts
 
 __all__ = [
     "GenusTable",
-    "PartitionPoly",
     "ahat_genus_table",
     "evaluate_genus",
+    "factored_str",
     "genus_table",
     "l_genus_table",
     "newton_power_sums",
-    "partitions",
+    "partition_terms",
     "pont_character",
     "pont_classes_from_character",
 ]
 
 Partition = tuple[int, ...]
-
-
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Partitions of n as weakly decreasing tuples, largest parts first."""
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
 
 
 def _partition_monomial(part: Partition) -> str:
@@ -67,116 +53,48 @@ def _term_order(part: Partition) -> tuple:
     return (sum(part), tuple(-p for p in part))
 
 
-class PartitionPoly:
-    """Polynomial in graded variables p_1, p_2, ... keyed by partition monomials.
+def partition_terms(poly: RingElement) -> dict[Partition, Fraction]:
+    """Terms of a polynomial in p_1..p_N keyed by partitions: the monomial
+    p_1^{e_1} ... p_N^{e_N} becomes e_i parts equal to i, largest parts first."""
+    return {
+        tuple(i for i in range(len(exps), 0, -1) for _ in range(exps[i - 1])): c
+        for exps, c in poly.terms.items()
+    }
 
-    The monomial p_{a} p_{b} p_{c} is stored as the partition (a, b, c)
-    sorted decreasingly, so multiplication is just a sorted merge of parts.
-    The weight of a term is the sum of its parts.
-    """
 
-    __slots__ = ("_terms",)
+def factored_str(poly: RingElement) -> str:
+    """Render a polynomial in p_1..p_N over a single common denominator,
+    e.g. ``(7*p2 - p1^2)/45``."""
+    terms = partition_terms(poly)
+    if not terms:
+        return "0"
+    denom = lcm(*(c.denominator for c in terms.values()))
+    ordered = sorted(terms.items(), key=lambda kv: _term_order(kv[0]))
+    pairs = [(c * denom, _partition_monomial(p)) for p, c in ordered]
+    body = signed_sum(pairs)
+    if denom == 1:
+        return body
+    if len(pairs) > 1:
+        return f"({body})/{denom}"
+    return f"{body}/{denom}"
 
-    def __init__(self, terms: Mapping[Partition, Fraction | int] = ()):
-        clean: dict[Partition, Fraction] = {}
-        for part, coeff in dict(terms).items():
-            key = tuple(int(p) for p in part)
-            if any(p < 1 for p in key) or list(key) != sorted(key, reverse=True):
-                raise ValueError(f"{key} is not a partition (weakly decreasing, parts >= 1)")
-            c = Fraction(coeff)
-            if c:
-                clean[key] = c
-        self._terms = clean
 
-    @classmethod
-    def one(cls) -> PartitionPoly:
-        return cls({(): Fraction(1)})
-
-    @classmethod
-    def variable(cls, i: int) -> PartitionPoly:
-        return cls({(i,): Fraction(1)})
-
-    @property
-    def terms(self) -> dict[Partition, Fraction]:
-        return dict(self._terms)
-
-    def coefficient(self, part: Partition) -> Fraction:
-        return self._terms.get(tuple(part), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PartitionPoly) and self._terms == other._terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other):
-        if isinstance(other, PartitionPoly):
-            out = dict(self._terms)
-            for p, c in other._terms.items():
-                out[p] = out.get(p, Fraction(0)) + c
-            return PartitionPoly(out)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, PartitionPoly):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self) -> PartitionPoly:
-        return PartitionPoly({p: -c for p, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, PartitionPoly):
-            out: dict[Partition, Fraction] = {}
-            for p1, c1 in self._terms.items():
-                for p2, c2 in other._terms.items():
-                    key = tuple(sorted(p1 + p2, reverse=True))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return PartitionPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return PartitionPoly({p: c * other for p, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __str__(self) -> str:
-        ordered = sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
-        return signed_sum((c, _partition_monomial(p)) for p, c in ordered)
-
-    def factored_str(self) -> str:
-        """Render over a single common denominator, e.g. ``(7*p2 - p1^2)/45``."""
-        if not self._terms:
-            return "0"
-        denom = 1
-        for c in self._terms.values():
-            denom = lcm(denom, c.denominator)
-        ordered = sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
-        pairs = [(c * denom, _partition_monomial(p)) for p, c in ordered]
-        body = signed_sum(pairs)
-        if denom == 1:
-            return body
-        if len(pairs) > 1:
-            return f"({body})/{denom}"
-        return f"{body}/{denom}"
-
-    def __repr__(self) -> str:
-        return f"<PartitionPoly {self}>"
+def _pontryagin_ring(max_weight: int) -> RingPresentation:
+    """Q[p_1..p_N] with |p_i| = 4i, truncated above degree 4N."""
+    return RingPresentation(
+        [(f"p{i}", 4 * i, max_weight // i + 1) for i in range(1, max_weight + 1)], 4 * max_weight
+    )
 
 
 @lru_cache(maxsize=None)
-def newton_power_sums(max_weight: int) -> tuple[PartitionPoly, ...]:
+def newton_power_sums(max_weight: int) -> tuple[RingElement, ...]:
     """Power sums s_1..s_N of the roots in the p_i, read as their elementary
     symmetric functions: by Newton's identity s_n = (-1)^{n+1} h_n, with h the
     log-derivative parts of 1 + p_1 + ... + p_N."""
     if max_weight < 0:
         raise ValueError(f"max weight must be >= 0, got {max_weight}")
-    parts = [PartitionPoly.one()] + [PartitionPoly.variable(k) for k in range(1, max_weight + 1)]
-    graded = log_derivative_parts(parts)
+    pres = _pontryagin_ring(max_weight)
+    graded = log_derivative_parts([pres.one()] + [pres.gen(name) for name in pres.names])
     return tuple(graded[k] * (-1) ** (k + 1) for k in range(1, max_weight + 1))
 
 
@@ -192,7 +110,7 @@ class GenusTable:
     def __init__(self, series: Series):
         self._series = series
         self._log = series.log().coefficients
-        self._polys: tuple[PartitionPoly, ...] | None = None
+        self._polys: tuple[RingElement, ...] | None = None
 
     @property
     def series(self) -> Series:
@@ -204,22 +122,21 @@ class GenusTable:
         return self._log
 
     @property
-    def polys(self) -> tuple[PartitionPoly, ...]:
-        """K_1..K_N: the weight parts of exp(sum_k c_k s_k), with s_k the
-        Newton power sums, from the graded recurrence of `exp_parts`."""
+    def polys(self) -> tuple[RingElement, ...]:
+        """K_1..K_N in Q[p_1..p_N]: the weight parts of exp(sum_k c_k s_k), with
+        s_k the Newton power sums, from the graded recurrence of `exp_parts`."""
         if self._polys is None:
             sums = newton_power_sums(self.max_weight)
-            graded = [PartitionPoly()] + [
-                sums[k - 1] * (k * self._log[k]) for k in range(1, self.max_weight + 1)
-            ]
-            self._polys = tuple(exp_parts(graded, PartitionPoly.one())[1:])
+            pres = _pontryagin_ring(self.max_weight)
+            graded = [pres.zero()] + [s * (k * self._log[k]) for k, s in enumerate(sums, 1)]
+            self._polys = tuple(exp_parts(graded, pres.one())[1:])
         return self._polys
 
     @property
     def max_weight(self) -> int:
         return self._series.order
 
-    def poly(self, i: int) -> PartitionPoly:
+    def poly(self, i: int) -> RingElement:
         """K_i, 1-indexed."""
         if not 1 <= i <= self.max_weight:
             raise ValueError(f"index {i} outside 1..{self.max_weight}")

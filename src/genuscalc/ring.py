@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, ge, mul
 from typing import Iterable, Mapping
 
 from .formatting import signed_sum
@@ -117,23 +118,22 @@ class RingElement:
         self._pres = presentation
         ngens = presentation.ngens
         nils = presentation.nilpotencies
+        degrees = presentation.degrees
         top = presentation.top_degree
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in dict(terms).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(int, exps))
             if len(key) != ngens:
                 raise ValueError(f"exponent vector {key} does not match {ngens} generators")
-            if any(e < 0 for e in key):
+            if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            c = Fraction(coeff)
-            if not c:
-                continue
-            if any(e >= n for e, n in zip(key, nils)):
-                continue  # generator power collapses to zero
-            if presentation.monomial_degree(key) > top:
-                continue  # beyond the truncation degree
-            clean[key] = clean.get(key, Fraction(0)) + c
-            if not clean[key]:
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if not c or any(map(ge, key, nils)) or sum(map(mul, key, degrees)) > top:
+                continue  # zero, a generator power that collapses, or beyond the top degree
+            total = clean.get(key, 0) + c
+            if total:
+                clean[key] = total
+            else:
                 del clean[key]
         self._terms = clean
 
@@ -216,8 +216,8 @@ class RingElement:
             out: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
+                    key = tuple(map(add, e1, e2))
+                    out[key] = out.get(key, 0) + c1 * c2
             return RingElement(self._pres, out)
         if isinstance(other, (int, Fraction)):
             return RingElement(self._pres, {e: c * other for e, c in self._terms.items()})

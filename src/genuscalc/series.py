@@ -16,13 +16,12 @@ from typing import Sequence
 
 from .formatting import signed_sum
 
-__all__ = ["Series", "ahat_genus_series", "exp_parts", "inverse_parts",
-           "l_genus_series", "log_derivative_parts"]
+__all__ = ["Series", "ahat_genus_series", "l_genus_series"]
 
 # The recurrences below act on the homogeneous parts a_0..a_N of an element
-# of a truncated graded algebra (series coefficients, ring classes by degree,
-# partition polynomials by weight).  They are exact because the grading
-# operator D(a) = sum_k k a_k is a derivation (Brent and Kung, J. ACM 1978).
+# of a truncated graded algebra (series coefficients, or ring classes by
+# degree).  They are exact because the grading operator D(a) = sum_k k a_k
+# is a derivation (Brent and Kung, J. ACM 1978).
 
 
 def _convolve(a: Sequence, b: Sequence, n: int):

@@ -2,9 +2,10 @@
 
 Nothing here shares algorithms with the package: symmetric functions are
 expanded literally in explicit variables, products are naive dictionary
-convolutions, Bernoulli numbers come from a different scheme, binomial
-series are summed term by term from math.comb, and genera and characters are
-evaluated by substituting ring classes into every partition monomial.
+convolutions, Bernoulli numbers come from two schemes checked against each
+other, binomial series are summed term by term from math.comb, and genera
+and characters are evaluated by substituting ring classes into every
+partition monomial.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 from math import comb, factorial
 
 
@@ -33,6 +35,32 @@ def akiyama_tanigawa(k: int) -> Fraction:
         row = [(j + 1) * (row[j] - row[j + 1]) for j in range(len(row) - 1)]
     value = row[0]
     return -value if k == 1 else value
+
+
+def bernoulli(k: int) -> Fraction:
+    """Bernoulli number B_k in the convention B_1 = -1/2, by the recurrence
+    sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, with B_0 = 1."""
+    if k < 0:
+        raise ValueError(f"Bernoulli index must be >= 0, got {k}")
+    values = [Fraction(1)]
+    for m in range(1, k + 1):
+        acc = sum(comb(m + 1, j) * values[j] for j in range(m))
+        values.append(-acc / (m + 1))
+    return values[k]
+
+
+def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as weakly decreasing tuples, largest parts first."""
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

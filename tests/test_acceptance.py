@@ -24,6 +24,7 @@ from genuscalc import (
     l_genus_table,
     newton_power_sums,
     p1_cubed_total_space,
+    partition_terms,
     pont_character,
     pont_classes_from_character,
     signature,
@@ -46,9 +47,9 @@ def _report(number, description, checks):
 def test_criterion_01_l_class_table():
     def checks():
         table = l_genus_table(3)
-        assert table.poly(1).terms == {(1,): Fraction(1, 3)}
-        assert table.poly(2).terms == {(2,): Fraction(7, 45), (1, 1): Fraction(-1, 45)}
-        assert table.poly(3).terms == {
+        assert partition_terms(table.poly(1)) == {(1,): Fraction(1, 3)}
+        assert partition_terms(table.poly(2)) == {(2,): Fraction(7, 45), (1, 1): Fraction(-1, 45)}
+        assert partition_terms(table.poly(3)) == {
             (3,): Fraction(62, 945),
             (2, 1): Fraction(-13, 945),
             (1, 1, 1): Fraction(2, 945),
@@ -60,12 +61,12 @@ def test_criterion_01_l_class_table():
 def test_criterion_02_ahat_class_table():
     def checks():
         table = ahat_genus_table(3)
-        assert table.poly(1).terms == {(1,): Fraction(-1, 24)}
-        assert table.poly(2).terms == {
+        assert partition_terms(table.poly(1)) == {(1,): Fraction(-1, 24)}
+        assert partition_terms(table.poly(2)) == {
             (2,): Fraction(-4, 5760),
             (1, 1): Fraction(7, 5760),
         }
-        assert table.poly(3).terms == {
+        assert partition_terms(table.poly(3)) == {
             (3,): Fraction(-16, 967680),
             (2, 1): Fraction(44, 967680),
             (1, 1, 1): Fraction(-31, 967680),
@@ -225,7 +226,7 @@ def test_criterion_10_property_suite():
         # Newton identities against brute-force expansion in four variables
         for k in range(1, 5):
             poly = newton_power_sums(k)[k - 1]
-            assert expand_in_variables(poly.terms, 4) == power_sum(k, 4)
+            assert expand_in_variables(partition_terms(poly), 4) == power_sum(k, 4)
         # ring inverses multiply back to one
         for _ in range(30):
             a = pres.element(

@@ -77,13 +77,32 @@ _WEIGHT_TEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("series, fmt", sorted(_WEIGHT_TEN_SHA256))
-def test_weight_ten_genus_output_is_pinned(capsys, series, fmt):
+# sha256 of `genus --weight 16` stdout, recorded while the genus polynomials
+# were still built in a partition-keyed algebra of their own
+_WEIGHT_SIXTEEN_SHA256 = {
+    ("L", "text"): "8a2ffc3f01936ce8c76409c9a55d30a3800f04679292fa0cb016ec1286a6b8b4",
+    ("L", "json"): "00553ab9c1daf55bfba31e4f7e6a8298d1d6bfe531f04c5c82afa99fbc5cac51",
+    ("Ahat", "text"): "a73514e7fce1613e9bb1415a3cf5a6272260d86848d85fe1e060a99dd6726217",
+    ("Ahat", "json"): "0111387a63433113ed3ce699e189b909287ba31499b6bd0b61e38d6838ed46cf",
+}
+
+
+def _genus_sha256(capsys, weight, series, fmt):
     status, out, err = _invoke(
-        capsys, ["genus", "--series", series, "--weight", "10", "--format", fmt]
+        capsys, ["genus", "--series", series, "--weight", str(weight), "--format", fmt]
     )
     assert status == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == _WEIGHT_TEN_SHA256[series, fmt]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("series, fmt", sorted(_WEIGHT_TEN_SHA256))
+def test_weight_ten_genus_output_is_pinned(capsys, series, fmt):
+    assert _genus_sha256(capsys, 10, series, fmt) == _WEIGHT_TEN_SHA256[series, fmt]
+
+
+@pytest.mark.parametrize("series, fmt", sorted(_WEIGHT_SIXTEEN_SHA256))
+def test_weight_sixteen_genus_output_is_pinned(capsys, series, fmt):
+    assert _genus_sha256(capsys, 16, series, fmt) == _WEIGHT_SIXTEEN_SHA256[series, fmt]
 
 
 def test_manifold_text_output(capsys):
@@ -302,6 +321,8 @@ _N_CAP = MODEL_MAX_WEIGHT - 1
         (["genus", "--series", "L", "--weight", _HUGE],
          "argument --weight: 5000-digit integer is too large"),
         (["manifold", "--descriptor", "hp:" + _HUGE], "manifold size with 5000 digits is too large"),
+        (["surgery", "--n", "2", "--A=" + _HUGE], "argument --A: 5000-digit integer is too large"),
+        (["surgery", "--n", "2", "--C=-1/" + _HUGE], "argument --C: 5000-digit integer is too large"),
     ],
 )
 def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
@@ -310,6 +331,16 @@ def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == ""
     assert err == f"genuscalc: error: {message}\n"
+
+
+def test_runtime_errors_exit_with_one_diagnostic_line(capsys, monkeypatch):
+    def failing_self_check(*args, **kwargs):
+        raise RuntimeError("self-check failed")
+
+    monkeypatch.setattr("genuscalc.cli.solve_bundle", failing_self_check)
+    status, out, err = _invoke(capsys, ["solve-bundle", "--n", "2"])
+    assert status == 2 and out == ""
+    assert err == "genuscalc: error: self-check failed\n"
 
 
 @pytest.mark.parametrize(

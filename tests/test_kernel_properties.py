@@ -1,7 +1,10 @@
-"""Property tests for the graded inverse/log/exp recurrences over random
-presentations: mixed generator degrees exercise the gcd step of the ring
-inverse, and genus evaluation and the character run through the log and exp
-recurrences inside the ring."""
+"""Property tests for ring arithmetic and the graded inverse/log/exp
+recurrences over random presentations: products, sums and negatives are
+compared with plain-dict oracles and must come out reduced, mixed generator
+degrees exercise the gcd step of the ring inverse, and genus evaluation and
+the character run through the log and exp recurrences inside the ring."""
+
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from genuscalc import (
     pont_character,
     pont_classes_from_character,
 )
+from oracles import naive_reduced_product, var_poly_add, var_poly_scale
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -56,6 +60,13 @@ def _element(draw, pres, constant, step=2):
 
 
 @st.composite
+def triples(draw):
+    """Three elements of one presentation, each with a random constant term."""
+    pres = draw(presentations())
+    return tuple(_element(draw, pres, draw(rationals)) for _ in range(3))
+
+
+@st.composite
 def units(draw):
     pres = draw(presentations())
     constant = draw(rationals.filter(bool))
@@ -77,6 +88,52 @@ def pontryagin_pairs(draw):
 # Degrees 4 and 6 without 2: stepping by the smallest degree instead of the
 # gcd would miss the degree-6 part.
 _MIXED = RingPresentation((("g0", 4, 3), ("g1", 6, 2)), 14)
+
+
+def _assert_reduced(x):
+    pres = x.presentation
+    for exps, coeff in x.terms.items():
+        assert all(0 <= e < n for e, n in zip(exps, pres.nilpotencies)), exps
+        assert pres.monomial_degree(exps) <= pres.top_degree, exps
+        assert isinstance(coeff, Fraction) and coeff, (exps, coeff)
+
+
+# (g0 + g1)(g0 - g1) = g0^2 - g1^2: the cross terms cancel and must be dropped.
+_SQUARES = RingPresentation((("g0", 4, 3), ("g1", 4, 3)), 8)
+
+
+@SETTINGS
+@given(triples(), rationals)
+@example(
+    (_SQUARES.gen("g0") + _SQUARES.gen("g1"), _SQUARES.gen("g0") - _SQUARES.gen("g1"), _SQUARES.one()),
+    Fraction(0),
+)
+def test_ring_arithmetic_matches_plain_dicts_and_stays_reduced(data, scalar):
+    a, b, _ = data
+    pres = a.presentation
+    checks = [
+        (a * b, naive_reduced_product(a.terms, b.terms, pres.nilpotencies, pres.degrees, pres.top_degree)),
+        (a + b, var_poly_add(a.terms, b.terms)),
+        (a - b, var_poly_add(a.terms, var_poly_scale(b.terms, Fraction(-1)))),
+        (-a, var_poly_scale(a.terms, Fraction(-1))),
+        (a * scalar, var_poly_scale(a.terms, scalar)),
+        (a + (-a), {}),
+    ]
+    for result, expected in checks:
+        assert result.terms == expected
+        _assert_reduced(result)
+
+
+@SETTINGS
+@given(triples())
+def test_ring_laws(data):
+    a, b, c = data
+    one, zero = a.presentation.one(), a.presentation.zero()
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert a * one == a and a + zero == a and a * zero == zero
 
 
 @SETTINGS

@@ -1,12 +1,12 @@
-"""Exact scalar layer: Fraction arithmetic, parsing, factorials, Bernoulli numbers."""
+"""Exact scalar layer: Fraction arithmetic, parsing and factorials; the Bernoulli oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from genuscalc import bernoulli, factorial, format_rational, parse_rational
-from oracles import akiyama_tanigawa, random_fraction
+from genuscalc import factorial, format_rational, parse_rational
+from oracles import akiyama_tanigawa, bernoulli, random_fraction
 
 
 def test_sum_of_reduced_fractions():

@@ -6,8 +6,8 @@ from math import factorial
 
 import pytest
 
-from genuscalc import Series, ahat_genus_series, bernoulli, l_genus_series
-from oracles import binomial_inverse_product, random_fraction
+from genuscalc import Series, ahat_genus_series, l_genus_series
+from oracles import bernoulli, binomial_inverse_product, random_fraction
 
 
 def _random_series(rng, order, unit=False):
