@@ -8,9 +8,9 @@ Errors of any kind exit nonzero after a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from . import __version__
 from .manifolds import a_hat_genus, parse_descriptor, signature
 from .multseq import ahat_genus_table, factored_str, l_genus_table, partition_terms, pont_character
 from .rational import format_rational, parse_rational
@@ -29,6 +29,7 @@ __all__ = ["main", "run"]
 _SERIES = {"L": l_genus_series, "Ahat": ahat_genus_series}
 _TABLES = {"L": l_genus_table, "Ahat": ahat_genus_table}
 _REPORTS = ("pontryagin", "signature", "ahat")
+_RATIONAL_FLAGS = ("--A", "--B", "--C", "--lambda")
 
 # Largest --weight each subcommand accepts; both finish in well under a second
 # at the cap, and the cost grows quickly past it.
@@ -46,6 +47,10 @@ class CommandError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse takes a separate "-2/7" for an option, not a value
+        for flag in _RATIONAL_FLAGS:
+            if message == f"argument {flag}: expected one argument":
+                message += f" (write a negative value as {flag}=-num/den)"
         raise CommandError(message)
 
 
@@ -232,6 +237,7 @@ def _cmd_solve_bundle(args: argparse.Namespace):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="genuscalc", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"genuscalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     coeff = sub.add_parser("coeff", help="characteristic series coefficients")
@@ -278,12 +284,16 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         lines, payload = args.handler(args)
     except (CommandError, ValueError, RuntimeError) as exc:
-        print(f"genuscalc: error: {exc}", file=sys.stderr)
+        # argparse quotes unrecognized arguments raw; keep the diagnostic one line
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"genuscalc: error: {message}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # argparse --help and --version
         code = exc.code
         return 0 if code is None else int(code)
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:

@@ -9,12 +9,12 @@ divisible by four, a point, and finite products of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
+from .record import FrozenRecord
 from .ring import RingElement, RingPresentation
 from .series import Series
 
@@ -30,15 +30,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ManifoldModel:
-    """Rational cohomology ring with a tangent class and a fundamental monomial."""
+class ManifoldModel(FrozenRecord):
+    """Rational cohomology ring with a tangent class and a fundamental monomial.
 
-    name: str
-    dimension: int
-    presentation: RingPresentation
-    tangent_pontryagin: RingElement
-    fundamental: tuple[int, ...]
+    Models compare and hash by identity, not by value.
+    """
+
+    __slots__ = ("name", "dimension", "presentation", "tangent_pontryagin", "fundamental")
+
+    def __init__(
+        self,
+        name: str,
+        dimension: int,
+        presentation: RingPresentation,
+        tangent_pontryagin: RingElement,
+        fundamental: tuple[int, ...],
+    ) -> None:
+        super().__init__(name, dimension, presentation, tangent_pontryagin, fundamental)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def integrate(self, element: RingElement) -> Fraction:
         """Pair a class against the fundamental monomial."""

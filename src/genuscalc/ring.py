@@ -11,15 +11,22 @@ always reduced.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd
-from operator import add, ge, mul
-from typing import Iterable, Mapping
+from operator import add, ge, index, mul
 
 from .formatting import signed_sum
 from .series import inverse_parts
 
 __all__ = ["RingElement", "RingPresentation"]
+
+
+def _non_integer_exponent(exponents) -> ValueError:
+    """The error for an exponent vector that `operator.index` refuses: a
+    non-integer exponent is named, never truncated."""
+    bad = next((e for e in exponents if not hasattr(type(e), "__index__")), None)
+    return ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer")
 
 
 class RingPresentation:
@@ -122,7 +129,10 @@ class RingElement:
         top = presentation.top_degree
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in dict(terms).items():
-            key = tuple(map(int, exps))
+            try:
+                key = tuple(map(index, exps))
+            except TypeError:
+                raise _non_integer_exponent(exps) from None
             if len(key) != ngens:
                 raise ValueError(f"exponent vector {key} does not match {ngens} generators")
             if key and min(key) < 0:
@@ -146,7 +156,10 @@ class RingElement:
         return dict(self._terms)
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
-        key = tuple(int(e) for e in exponents)
+        try:
+            key = tuple(map(index, exponents))
+        except TypeError:
+            raise _non_integer_exponent(exponents) from None
         if len(key) != self._pres.ngens:
             raise ValueError(f"exponent vector {key} does not match {self._pres.ngens} generators")
         return self._terms.get(key, Fraction(0))

@@ -10,9 +10,9 @@ of factorial series, never from closed-form Bernoulli expressions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .formatting import signed_sum
 

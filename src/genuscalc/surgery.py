@@ -11,7 +11,6 @@ product cohomology ring, with no precomputed constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
@@ -23,6 +22,7 @@ from .multseq import (
     l_genus_table,
     pont_classes_from_character,
 )
+from .record import FrozenRecord
 from .ring import RingElement
 
 __all__ = [
@@ -40,42 +40,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalInvariantParams:
+class NormalInvariantParams(FrozenRecord):
     """Rational bundle parameters over S^4 x HP^n.
 
     B only matters when n = 2; for other n it must be zero.  The scale
     lambda must be nonzero.
     """
 
-    n: int
-    A: Fraction = Fraction(0)
-    B: Fraction = Fraction(0)
-    C: Fraction = Fraction(0)
-    lam: Fraction = Fraction(1)
+    __slots__ = ("n", "A", "B", "C", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "C", Fraction(self.C))
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.n < 2:
-            raise ValueError(f"fibre projective dimension must be >= 2, got {self.n}")
+    def __init__(
+        self,
+        n: int,
+        A: Fraction = Fraction(0),
+        B: Fraction = Fraction(0),
+        C: Fraction = Fraction(0),
+        lam: Fraction = Fraction(1),
+    ) -> None:
+        super().__init__(n, Fraction(A), Fraction(B), Fraction(C), Fraction(lam))
+        if n < 2:
+            raise ValueError(f"fibre projective dimension must be >= 2, got {n}")
         if not self.lam:
             raise ValueError("scale lambda must be nonzero")
-        if self.n != 2 and self.B:
-            raise ValueError(f"parameter B is only meaningful when n = 2, got n = {self.n}")
+        if n != 2 and self.B:
+            raise ValueError(f"parameter B is only meaningful when n = 2, got n = {n}")
 
 
-@dataclass(frozen=True)
-class BundleSolution:
+class BundleSolution(FrozenRecord):
     """Output of solve_bundle: a representative plus the full sigma = 0 kernel."""
 
-    params: NormalInvariantParams
-    sigma: Fraction
-    a_hat: Fraction
-    p1_cubed: Fraction | None
-    kernel_basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("params", "sigma", "a_hat", "p1_cubed", "kernel_basis")
+
+    def __init__(
+        self,
+        params: NormalInvariantParams,
+        sigma: Fraction,
+        a_hat: Fraction,
+        p1_cubed: Fraction | None,
+        kernel_basis: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        super().__init__(params, sigma, a_hat, p1_cubed, kernel_basis)
 
 
 @lru_cache(maxsize=None)

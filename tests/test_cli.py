@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import genuscalc
 from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, MODEL_MAX_WEIGHT, run
 
 _HUGE = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
@@ -265,6 +269,8 @@ def test_repeat_runs_are_byte_identical(capsys):
         ["manifold", "--descriptor", "hp:" + _HUGE],
         ["manifold", "--descriptor", "s:" + _HUGE],
         ["surgery", "--n", _HUGE],
+        ["surgery", "--n", "2", "--C", "-2/7"],
+        ["coeff", "--series", "L", "--weight", "1", "x\ny"],
     ],
 )
 def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):
@@ -333,6 +339,18 @@ def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
     assert err == f"genuscalc: error: {message}\n"
 
 
+@pytest.mark.parametrize("flag", ["--A", "--B", "--C", "--lambda"])
+def test_negative_fraction_as_separate_argument_names_the_equals_form(capsys, flag):
+    status, out, err = _invoke(capsys, ["surgery", "--n", "2", flag, "-2/7"])
+    assert status == 2 and out == ""
+    assert err == (
+        f"genuscalc: error: argument {flag}: expected one argument "
+        f"(write a negative value as {flag}=-num/den)\n"
+    )
+    status, out, err = _invoke(capsys, ["surgery", "--n", "2", f"{flag}=-2/7"])
+    assert status == 0 and err == ""
+
+
 def test_runtime_errors_exit_with_one_diagnostic_line(capsys, monkeypatch):
     def failing_self_check(*args, **kwargs):
         raise RuntimeError("self-check failed")
@@ -359,6 +377,38 @@ def test_help_exits_zero(capsys):
     status, out, err = _invoke(capsys, ["--help"])
     assert status == 0
     assert "coeff" in out and "solve-bundle" in out
+
+
+def test_version_prints_the_package_version(capsys):
+    status, out, err = _invoke(capsys, ["--version"])
+    assert status == 0 and err == ""
+    assert out == f"genuscalc {genuscalc.__version__}\n"
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+    assert match and match.group(1) == genuscalc.__version__ == "0.1.0"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # dataclasses pulls in inspect, ast, dis and tokenize; the CLI needs none
+    # of them, and json only when it prints JSON.
+    package_root = str(Path(genuscalc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import genuscalc.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -1,0 +1,119 @@
+"""The frozen record classes: construction, immutability, equality, hashing,
+repr and copying, as each behaved when the classes were dataclasses."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from genuscalc import (
+    BundleSolution,
+    ManifoldModel,
+    NormalInvariantParams,
+    RingPresentation,
+    hp_model,
+    solve_bundle,
+)
+
+
+def _assert_frozen(record, field):
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 0
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+
+
+def test_params_coerce_to_fractions_and_repr():
+    params = NormalInvariantParams(2, A=1, C="-2/7")
+    assert all(type(v) is Fraction for v in (params.A, params.B, params.C, params.lam))
+    assert (params.A, params.B, params.C, params.lam) == (1, 0, Fraction(-2, 7), 1)
+    assert repr(NormalInvariantParams(2, A=1)) == (
+        "NormalInvariantParams(n=2, A=Fraction(1, 1), B=Fraction(0, 1), "
+        "C=Fraction(0, 1), lam=Fraction(1, 1))"
+    )
+
+
+def test_params_constructor_signature_and_errors():
+    assert NormalInvariantParams(n=2, A=1, B=2, C=3, lam=4) == NormalInvariantParams(2, 1, 2, 3, 4)
+    with pytest.raises(ValueError, match="must be >= 2, got 1"):
+        NormalInvariantParams(1)
+    with pytest.raises(ValueError, match="scale lambda must be nonzero"):
+        NormalInvariantParams(2, lam=Fraction(0))
+    with pytest.raises(ValueError, match="only meaningful when n = 2, got n = 3"):
+        NormalInvariantParams(3, B=1)
+    with pytest.raises(TypeError):
+        NormalInvariantParams()
+    with pytest.raises(TypeError):
+        NormalInvariantParams(2, D=1)
+
+
+def test_params_are_frozen_values():
+    params = NormalInvariantParams(2, A=1)
+    _assert_frozen(params, "A")
+    same = NormalInvariantParams(2, A=Fraction(1), lam=1)
+    assert params == same and not params != same
+    assert hash(params) == hash(same)
+    assert len({params, same, NormalInvariantParams(2, A=2)}) == 2
+    assert params != NormalInvariantParams(2, A=2)
+    assert params != NormalInvariantParams(4, A=1)
+    assert params != (2, Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    with pytest.raises(TypeError):
+        params[0]
+    with pytest.raises(TypeError):
+        params < same
+
+
+def test_bundle_solution_is_a_frozen_value():
+    solution = solve_bundle(2)
+    assert isinstance(solution, BundleSolution)
+    _assert_frozen(solution, "sigma")
+    again = solve_bundle(2)
+    assert solution == again and hash(solution) == hash(again)
+    by_keyword = BundleSolution(
+        params=solution.params,
+        sigma=solution.sigma,
+        a_hat=solution.a_hat,
+        p1_cubed=solution.p1_cubed,
+        kernel_basis=solution.kernel_basis,
+    )
+    assert by_keyword == solution
+    assert BundleSolution(solution.params, 1, 2, None, ()) != solution
+    assert repr(solution) == (
+        "BundleSolution(params=NormalInvariantParams(n=2, A=Fraction(28, 1), "
+        "B=Fraction(15, 1), C=Fraction(0, 1), lam=Fraction(1, 1)), "
+        "sigma=Fraction(0, 1), a_hat=Fraction(1, 192), p1_cubed=Fraction(-336, 1), "
+        "kernel_basis=((Fraction(28, 1), Fraction(15, 1), Fraction(0, 1)), "
+        "(Fraction(496, 1), Fraction(0, 1), Fraction(-21, 1))))"
+    )
+
+
+def test_manifold_model_compares_by_identity():
+    model = hp_model(2)
+    _assert_frozen(model, "name")
+    assert model == model and model != hp_model(2)
+    assert hash(model) == object.__hash__(model)
+    assert repr(model) == (
+        "ManifoldModel(name='HP2', dimension=8, "
+        "presentation=RingPresentation([z(deg 4, nil 3)], top_degree=8), "
+        "tangent_pontryagin=<RingElement 1 + 2*z + 7*z^2>, fundamental=(2,))"
+    )
+    pres = RingPresentation((), 0)
+    point = ManifoldModel(
+        name="pt", dimension=0, presentation=pres, tangent_pontryagin=pres.one(), fundamental=()
+    )
+    assert (point.name, point.dimension, point.fundamental) == ("pt", 0, ())
+    assert point.integrate(pres.one()) == 1
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+def test_records_copy_and_pickle(clone):
+    params = NormalInvariantParams(2, A=1, B="1/2")
+    assert clone(params) == params
+    solution = solve_bundle(4)
+    assert clone(solution) == solution
+    model = hp_model(2)
+    twin = clone(model)
+    assert twin is not model and twin.name == "HP2" and twin.fundamental == (2,)

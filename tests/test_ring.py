@@ -198,6 +198,20 @@ def test_exponents_outside_the_presentation_are_rejected():
         pres.element({(-1, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda pres: pres.element({(1.5,): 1}), "1.5"),
+        (lambda pres: pres.element({(1.5,): 1, (1,): -1}), "1.5"),
+        (lambda pres: pres.one().coefficient((0.7,)), "0.7"),
+    ],
+)
+def test_non_integer_exponents_are_rejected_not_truncated(build, bad):
+    pres = RingPresentation([("z", 4, 3)], 8)
+    with pytest.raises(ValueError, match=f"exponent {bad} in \\({bad},\\) is not an integer"):
+        build(pres)
+
+
 def test_empty_presentation_is_the_rationals():
     pres = RingPresentation((), 0)
     assert pres.one() * pres.one() == pres.one()
