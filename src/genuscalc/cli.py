@@ -99,13 +99,7 @@ def _params_payload(params: NormalInvariantParams) -> dict:
 
 
 def _params_lines(params: NormalInvariantParams) -> list[str]:
-    return [
-        f"n: {params.n}",
-        f"A: {format_rational(params.A)}",
-        f"B: {format_rational(params.B)}",
-        f"C: {format_rational(params.C)}",
-        f"lambda: {format_rational(params.lam)}",
-    ]
+    return [f"n: {params.n}"] + [f"{k}: {v}" for k, v in _params_payload(params).items()]
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -186,52 +180,32 @@ def _cmd_pontryagin(args: argparse.Namespace):
     return lines, payload
 
 
+def _invariant_output(params: NormalInvariantParams, sigma, a_hat, p1_cubed):
+    """Lines and payload shared by `surgery` and `solve-bundle`; p1_cubed is
+    None when n != 2 and then has no text line."""
+    values = {"sigma": sigma, "a_hat": a_hat, "p1_cubed": p1_cubed}
+    shown = {k: None if v is None else format_rational(v) for k, v in values.items()}
+    lines = _params_lines(params) + [f"{k}: {v}" for k, v in shown.items() if v is not None]
+    return lines, {"n": params.n, "params": _params_payload(params), **shown}
+
+
 def _cmd_surgery(args: argparse.Namespace):
     params = _params_from(args)
-    sigma = surgery_obstruction(params)
-    a_hat = a_hat_total_space(params)
-    lines = _params_lines(params)
-    lines.append(f"sigma: {format_rational(sigma)}")
-    lines.append(f"a_hat: {format_rational(a_hat)}")
-    payload = {
-        "n": params.n,
-        "params": _params_payload(params),
-        "sigma": format_rational(sigma),
-        "a_hat": format_rational(a_hat),
-        "p1_cubed": None,
-    }
-    if params.n == 2:
-        p1_cubed = p1_cubed_total_space(params)
-        lines.append(f"p1_cubed: {format_rational(p1_cubed)}")
-        payload["p1_cubed"] = format_rational(p1_cubed)
-    return lines, payload
+    p1_cubed = p1_cubed_total_space(params) if params.n == 2 else None
+    return _invariant_output(
+        params, surgery_obstruction(params), a_hat_total_space(params), p1_cubed
+    )
 
 
 def _cmd_solve_bundle(args: argparse.Namespace):
     _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
     solution = solve_bundle(args.n, require_section=args.require_section)
-    params = solution.params
-    lines = _params_lines(params)
-    lines.append(f"sigma: {format_rational(solution.sigma)}")
-    lines.append(f"a_hat: {format_rational(solution.a_hat)}")
-    payload = {
-        "n": params.n,
-        "params": _params_payload(params),
-        "sigma": format_rational(solution.sigma),
-        "a_hat": format_rational(solution.a_hat),
-        "p1_cubed": None,
-        "kernel_basis": [
-            [format_rational(c) for c in vec] for vec in solution.kernel_basis
-        ],
-    }
-    if solution.p1_cubed is not None:
-        lines.append(f"p1_cubed: {format_rational(solution.p1_cubed)}")
-        payload["p1_cubed"] = format_rational(solution.p1_cubed)
-    rendered = "; ".join(
-        "[" + ", ".join(format_rational(c) for c in vec) + "]"
-        for vec in solution.kernel_basis
+    lines, payload = _invariant_output(
+        solution.params, solution.sigma, solution.a_hat, solution.p1_cubed
     )
-    lines.append(f"kernel_basis: {rendered}")
+    basis = [[format_rational(c) for c in vec] for vec in solution.kernel_basis]
+    payload["kernel_basis"] = basis
+    lines.append("kernel_basis: " + "; ".join("[" + ", ".join(vec) + "]" for vec in basis))
     return lines, payload
 
 

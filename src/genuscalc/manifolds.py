@@ -64,10 +64,9 @@ def hp_model(n: int, top_degree: int | None = None) -> ManifoldModel:
     """
     if n < 1:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
-    top = 4 * n if top_degree is None else int(top_degree)
-    if top < 4 * n:
-        raise ValueError(f"top degree {top} cannot be below the dimension {4 * n}")
-    pres = RingPresentation((("z", 4, n + 1),), top)
+    pres = RingPresentation((("z", 4, n + 1),), 4 * n if top_degree is None else top_degree)
+    if pres.top_degree < 4 * n:
+        raise ValueError(f"top degree {pres.top_degree} cannot be below the dimension {4 * n}")
     tangent = Series([1, 1], n) ** (2 * n + 2) * Series([1, 4], n).inverse()
     element = pres.element({(k,): tangent[k] for k in range(n + 1)})
     return ManifoldModel(f"HP{n}", 4 * n, pres, element, (n,))

@@ -13,15 +13,16 @@ from math import factorial
 
 __all__ = ["factorial", "format_rational", "parse_rational"]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` into a Fraction.
 
-    The denominator, when present, must be a positive integer written in
-    decimal; anything else (floats, letters, zero denominators, integers
-    past the interpreter's digit limit) is rejected.
+    Both parts are written in ASCII decimal digits, and the denominator, when
+    present, must be positive; anything else (floats, letters, other digit
+    scripts, zero denominators, integers past the interpreter's digit limit)
+    is rejected.
     """
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):

@@ -29,6 +29,15 @@ def _non_integer_exponent(exponents) -> ValueError:
     return ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer")
 
 
+def _size(value, what: str) -> int:
+    """A degree, nilpotency or top degree as an int, refused rather than
+    truncated when it is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 class RingPresentation:
     """Generators-and-truncation presentation Q[g_1, ..., g_r]/(g_i^{n_i}, deg > top)."""
 
@@ -39,8 +48,8 @@ class RingPresentation:
         seen: set[str] = set()
         for name, degree, nilpotency in generators:
             name = str(name)
-            degree = int(degree)
-            nilpotency = int(nilpotency)
+            degree = _size(degree, f"degree of generator {name!r}")
+            nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}")
             if not name or name in seen:
                 raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
             if degree <= 0 or degree % 2:
@@ -51,7 +60,7 @@ class RingPresentation:
                 raise ValueError(f"generator {name!r} needs nilpotency >= 1, got {nilpotency}")
             seen.add(name)
             gens.append((name, degree, nilpotency))
-        top = int(top_degree)
+        top = _size(top_degree, "top degree")
         if top < 0:
             raise ValueError(f"top degree must be >= 0, got {top}")
         self._gens = tuple(gens)

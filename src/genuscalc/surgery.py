@@ -93,23 +93,19 @@ def ambient_model(n: int) -> ManifoldModel:
 def xi_total_class(params: NormalInvariantParams) -> RingElement:
     """Total Pontryagin class of the candidate bundle.
 
-    For n = 2 the three classes are p_1 = lambda A u, p_2 = -6 lambda B uz,
-    p_3 = 120 lambda C uz^2.  For general n only p_1 = lambda A u and
-    p_{n+1} = lambda (2n+1)! (-1)^n C u z^n survive; the classes in between
-    vanish.
+    The surviving classes are p_1 = lambda A u, p_2 = -6 lambda B uz (B is
+    zero unless n = 2) and p_{n+1} = (-1)^n (2n+1)! lambda C u z^n; at n = 2
+    the last is 120 lambda C uz^2.  Every other class vanishes.
     """
-    n = params.n
-    pres = ambient_model(n).presentation
-    u = pres.gen("u")
-    z = pres.gen("z")
-    total = pres.one() + u * (params.lam * params.A)
-    if n == 2:
-        total = total + u * z * (params.lam * params.B * -6)
-        total = total + u * z**2 * (params.lam * params.C * 120)
-    else:
-        coeff = params.lam * params.C * Fraction((-1) ** n * factorial(2 * n + 1))
-        total = total + u * z**n * coeff
-    return total
+    n, lam = params.n, params.lam
+    return ambient_model(n).presentation.element(
+        {
+            (0, 0): 1,
+            (1, 0): lam * params.A,
+            (1, 1): lam * params.B * -6,
+            (1, n): lam * params.C * ((-1) ** n * factorial(2 * n + 1)),
+        }
+    )
 
 
 def xi_total_class_via_character(params: NormalInvariantParams) -> RingElement:
@@ -117,36 +113,34 @@ def xi_total_class_via_character(params: NormalInvariantParams) -> RingElement:
     if params.n != 2:
         raise ValueError(f"character form of the bundle is specific to n = 2, got n = {params.n}")
     pres = ambient_model(2).presentation
-    u = pres.gen("u")
-    z = pres.gen("z")
     character = [
-        u * (params.lam * params.A),
-        u * z * (params.lam * params.B),
-        u * z**2 * (params.lam * params.C),
+        pres.element({(1, k): params.lam * c}) for k, c in enumerate((params.A, params.B, params.C))
     ]
     return pont_classes_from_character(character)
+
+
+def _surgered_integral(params: NormalInvariantParams, genus_table) -> Fraction:
+    """The integral of G(T(S^4 x HP^n)) * G(xi)^{-1} over the fundamental
+    class, for the genus G whose table `genus_table(weight)` builds."""
+    model = ambient_model(params.n)
+    table = genus_table(model.presentation.top_degree // 4)
+    ambient = evaluate_genus(table, model.tangent_pontryagin)
+    xi_inverse = evaluate_genus(table, xi_total_class(params)).inverse()
+    return model.integrate(ambient * xi_inverse)
 
 
 def surgery_obstruction(params: NormalInvariantParams) -> Fraction:
     """The obstruction sigma = (signature of the surgered manifold minus the
     signature of S^4 x HP^n) / 8, computed by integrating
     L(T(S^4 x HP^n)) * L(xi)^{-1} over the fundamental class."""
-    model = ambient_model(params.n)
-    table = l_genus_table(model.presentation.top_degree // 4)
-    l_ambient = evaluate_genus(table, model.tangent_pontryagin)
-    l_xi_inverse = evaluate_genus(table, xi_total_class(params)).inverse()
-    surgered_signature = model.integrate(l_ambient * l_xi_inverse)
-    return (surgered_signature - signature(model)) / 8
+    surgered_signature = _surgered_integral(params, l_genus_table)
+    return (surgered_signature - signature(ambient_model(params.n))) / 8
 
 
 def a_hat_total_space(params: NormalInvariantParams) -> Fraction:
     """A-hat genus of the surgered total space: the integral of
     Ahat(T(S^4 x HP^n)) * Ahat(xi)^{-1}."""
-    model = ambient_model(params.n)
-    table = ahat_genus_table(model.presentation.top_degree // 4)
-    ahat_ambient = evaluate_genus(table, model.tangent_pontryagin)
-    ahat_xi_inverse = evaluate_genus(table, xi_total_class(params)).inverse()
-    return model.integrate(ahat_ambient * ahat_xi_inverse)
+    return _surgered_integral(params, ahat_genus_table)
 
 
 def p1_cubed_total_space(params: NormalInvariantParams) -> Fraction:
@@ -162,32 +156,23 @@ def p1_cubed_total_space(params: NormalInvariantParams) -> Fraction:
 
 
 def general_obstruction_coefficients(n: int) -> tuple[Fraction, Fraction]:
-    """Coefficients (per A, per C) of 8 sigma at lambda = 1 in pair mode.
-
-    8 sigma = lambda (coeff_A * A + coeff_C * C) with coeff_A = -h_1 and
-    coeff_C = h_{n+1} (2n+1)! (-1)^{n+1}, where h_i is the leading
-    coefficient of the i-th signature-genus polynomial.
-    """
+    """Coefficients (per A, per C) of 8 sigma at lambda = 1 in pair mode:
+    8 sigma = lambda (coeff_A * A + coeff_C * C), read off the ring
+    evaluation at the unit parameters."""
     if n < 2:
         raise ValueError(f"fibre projective dimension must be >= 2, got {n}")
-    table = l_genus_table(n + 1)
-    coeff_a = -table.leading_coefficient(1)
-    coeff_c = table.leading_coefficient(n + 1) * Fraction(
-        (-1) ** (n + 1) * factorial(2 * n + 1)
+    return (
+        8 * surgery_obstruction(NormalInvariantParams(n, A=1)),
+        8 * surgery_obstruction(NormalInvariantParams(n, C=1)),
     )
-    return coeff_a, coeff_c
 
 
 def general_a_hat_coefficient(n: int) -> Fraction:
-    """Coefficient of C in the total-space A-hat genus at lambda = 1, even n.
-
-    Equals a_{n+1} (2n+1)! (-1)^{n+1} with a_i the leading coefficient of
-    the i-th A-hat genus polynomial.
-    """
+    """Coefficient of C in the total-space A-hat genus at lambda = 1, even n,
+    read off the ring evaluation at C = 1."""
     if n < 2 or n % 2:
         raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
-    table = ahat_genus_table(n + 1)
-    return table.leading_coefficient(n + 1) * Fraction((-1) ** (n + 1) * factorial(2 * n + 1))
+    return a_hat_total_space(NormalInvariantParams(n, C=1))
 
 
 def _primitive_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
@@ -207,69 +192,46 @@ def _primitive_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
 def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     """Find bundle parameters with sigma = 0 and nonzero total-space A-hat genus.
 
-    For n = 2 the parameter space is (A, B, C) and the sigma = 0 kernel is a
-    plane; its basis is returned in primitive integer form and the
-    representative is the first basis vector with nonzero A-hat genus.  With
-    require_section set (n = 2 only), A is pinned to 0 and the representative
-    is scaled so that B and C are the coefficients of 8 sigma read crosswise,
-    i.e. (0, -8 sigma_C, 8 sigma_B).  For even n > 2 the space is (A, C) and
-    the kernel is a line.  All sigma coefficients come from honest ring
-    evaluations, not stored constants.
+    The parameters are (A, B, C) for n = 2 and (A, C) for even n > 2.  The
+    sigma = 0 kernel is solved for the first parameter with a nonzero sigma
+    coefficient, and its basis is returned in primitive integer form: a plane
+    for n = 2, a line otherwise.  The representative is the first basis vector
+    with nonzero A-hat genus.  With require_section set (n = 2 only), A is
+    pinned to 0 and the representative is scaled so that B and C are the
+    coefficients of 8 sigma read crosswise, i.e. (0, -8 sigma_C, 8 sigma_B).
+    All sigma coefficients come from honest ring evaluations, not stored
+    constants.
     """
     if require_section and n != 2:
         raise ValueError(f"a section can only be required when n = 2, got n = {n}")
-    if n == 2:
-        unit = [
-            NormalInvariantParams(2, A=1),
-            NormalInvariantParams(2, B=1),
-            NormalInvariantParams(2, C=1),
-        ]
-        coeffs = [surgery_obstruction(p) for p in unit]
-        pivot = next((i for i, c in enumerate(coeffs) if c), None)
-        if pivot is None:
-            raise RuntimeError("obstruction functional vanished identically")
-        basis = []
-        for j in range(3):
-            if j == pivot:
-                continue
-            vec = [Fraction(0)] * 3
-            vec[j] = Fraction(1)
+    if n < 2 or n % 2:
+        raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
+    names = ("A", "B", "C") if n == 2 else ("A", "C")
+
+    def params_of(vec) -> NormalInvariantParams:
+        return NormalInvariantParams(n, **dict(zip(names, vec)))
+
+    units = [[Fraction(i == j) for j in range(len(names))] for i in range(len(names))]
+    coeffs = [surgery_obstruction(params_of(unit)) for unit in units]
+    pivot = next((i for i, c in enumerate(coeffs) if c), None)
+    if pivot is None:
+        raise RuntimeError("obstruction functional vanished identically")
+    basis = []
+    for j, unit in enumerate(units):
+        if j != pivot:
+            vec = list(unit)
             vec[pivot] = -coeffs[j] / coeffs[pivot]
             basis.append(_primitive_vector(vec))
-        if require_section:
-            rep = (Fraction(0), -8 * coeffs[2], 8 * coeffs[1])
-        else:
-            rep = next(
-                (
-                    v
-                    for v in basis
-                    if a_hat_total_space(NormalInvariantParams(2, A=v[0], B=v[1], C=v[2]))
-                ),
-                None,
-            )
-            if rep is None:
-                raise RuntimeError("no kernel basis vector has nonzero A-hat genus")
-        params = NormalInvariantParams(2, A=rep[0], B=rep[1], C=rep[2])
-        kernel = tuple(basis)
+    candidates = [(Fraction(0), -8 * coeffs[2], 8 * coeffs[1])] if require_section else basis
+    for rep in candidates:
+        params = params_of(rep)
+        a_hat = a_hat_total_space(params)
+        if a_hat:
+            break
     else:
-        if n < 2 or n % 2:
-            raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
-        unit = [
-            NormalInvariantParams(n, A=1),
-            NormalInvariantParams(n, C=1),
-        ]
-        coeffs = [surgery_obstruction(p) for p in unit]
-        if not coeffs[0]:
-            raise RuntimeError("obstruction functional is degenerate in A")
-        vec = [-coeffs[1] / coeffs[0], Fraction(1)]
-        rep = _primitive_vector(vec)
-        params = NormalInvariantParams(n, A=rep[0], C=rep[1])
-        kernel = (rep,)
+        raise RuntimeError("no candidate representative has nonzero A-hat genus")
     sigma = surgery_obstruction(params)
-    a_hat = a_hat_total_space(params)
     if sigma:
         raise RuntimeError(f"representative fails sigma = 0: {sigma}")
-    if not a_hat:
-        raise RuntimeError("representative has vanishing A-hat genus")
     p1_cubed = p1_cubed_total_space(params) if n == 2 else None
-    return BundleSolution(params, sigma, a_hat, p1_cubed, kernel)
+    return BundleSolution(params, sigma, a_hat, p1_cubed, tuple(basis))

@@ -245,3 +245,34 @@ def character_by_newton(total_class, max_weight: int) -> list:
         substitute_partitions(sums[2 * i - 1], pres.one(), chern) * Fraction(1, factorial(2 * i))
         for i in range(1, max_weight + 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the surgery invariants at unit parameters over S^4 x HP^n.
+# The class of xi is 1 + y with y^2 = 0, so G(xi)^{-1} = 1 - (linear part of
+# G in y), and only the leading coefficient of each genus polynomial enters.
+
+
+def signature_leading_coefficient(k: int) -> Fraction:
+    """Coefficient of p_k in L_k: 2^{2k} (2^{2k-1} - 1) |B_{2k}| / (2k)!."""
+    scale = Fraction(2 ** (2 * k) * (2 ** (2 * k - 1) - 1), factorial(2 * k))
+    return scale * abs(bernoulli(2 * k))
+
+
+def a_hat_leading_coefficient(k: int) -> Fraction:
+    """Coefficient of p_k in Ahat_k: -|B_{2k}| / (2 (2k)!)."""
+    return -abs(bernoulli(2 * k)) / (2 * factorial(2 * k))
+
+
+def pair_mode_obstruction_coefficients(n: int) -> tuple[Fraction, Fraction]:
+    """8 sigma at A = 1 and at C = 1: -h_1 sig(HP^n) and
+    h_{n+1} (2n+1)! (-1)^{n+1}, with sig(HP^n) = (1 + (-1)^n) / 2."""
+    sig_hp = (1 + (-1) ** n) // 2
+    coeff_a = -signature_leading_coefficient(1) * sig_hp
+    coeff_c = signature_leading_coefficient(n + 1) * factorial(2 * n + 1) * (-1) ** (n + 1)
+    return coeff_a, coeff_c
+
+
+def pair_mode_a_hat_coefficient(n: int) -> Fraction:
+    """Total-space A-hat genus at C = 1: a_{n+1} (2n+1)! (-1)^{n+1}."""
+    return a_hat_leading_coefficient(n + 1) * factorial(2 * n + 1) * (-1) ** (n + 1)

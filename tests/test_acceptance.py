@@ -32,7 +32,14 @@ from genuscalc import (
     surgery_obstruction,
     xi_total_class,
 )
-from oracles import expand_in_variables, nonzero_fraction, power_sum, random_fraction
+from oracles import (
+    expand_in_variables,
+    nonzero_fraction,
+    pair_mode_a_hat_coefficient,
+    pair_mode_obstruction_coefficients,
+    power_sum,
+    random_fraction,
+)
 
 
 def _report(number, description, checks):
@@ -189,17 +196,21 @@ def test_criterion_09_higher_even_fibres():
         for n in (2, 4, 6):
             assert signature(hp_model(n)) == 1
             assert a_hat_genus(hp_model(n)) == 0
+        # the ring route against the Bernoulli closed form at both parities
+        for n in range(2, 13):
             coeff_a, coeff_c = general_obstruction_coefficients(n)
+            assert (coeff_a, coeff_c) == pair_mode_obstruction_coefficients(n)
             assert 8 * surgery_obstruction(NormalInvariantParams(n, A=1)) == coeff_a
             assert 8 * surgery_obstruction(NormalInvariantParams(n, C=1)) == coeff_c
-            assert general_a_hat_coefficient(n) != 0
+            if n % 2 == 0:
+                assert general_a_hat_coefficient(n) == pair_mode_a_hat_coefficient(n) != 0
         assert general_obstruction_coefficients(2) == (
             Fraction(-1, 3),
             Fraction(-496, 63),
         )
         assert general_a_hat_coefficient(2) == Fraction(1, 504)
 
-    _report(9, "general even-fibre coefficients match direct ring evaluation", checks)
+    _report(9, "general fibre coefficients match the closed form", checks)
 
 
 def test_criterion_10_property_suite():

@@ -271,6 +271,7 @@ def test_repeat_runs_are_byte_identical(capsys):
         ["surgery", "--n", _HUGE],
         ["surgery", "--n", "2", "--C", "-2/7"],
         ["coeff", "--series", "L", "--weight", "1", "x\ny"],
+        ["surgery", "--n", "2", "--A", "\u0663", "--C", "\uff13"],
     ],
 )
 def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):

@@ -50,6 +50,8 @@ def test_hp_model_rejects_bad_input():
         hp_model(0)
     with pytest.raises(ValueError):
         hp_model(2, top_degree=4)
+    with pytest.raises(ValueError, match="top degree must be an integer, got 11.9"):
+        hp_model(2, top_degree=11.9)
 
 
 def test_hp_signature_is_one_in_even_dimensions_zero_in_odd():

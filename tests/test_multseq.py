@@ -23,7 +23,6 @@ from genuscalc import (
     pont_classes_from_character,
 )
 from oracles import (
-    bernoulli,
     character_by_newton,
     expand_in_variables,
     genus_by_substitution,
@@ -31,6 +30,7 @@ from oracles import (
     partitions,
     power_sum,
     random_fraction,
+    signature_leading_coefficient,
 )
 
 
@@ -120,15 +120,9 @@ def test_leading_coefficients_frozen_and_nonzero():
 
 
 def test_signature_leading_coefficients_match_bernoulli_closed_form():
-    # h_n = 2^{2n} (2^{2n-1} - 1) |B_{2n}| / (2n)!
     table = l_genus_table(6)
     for n in range(1, 7):
-        expected = (
-            Fraction(2 ** (2 * n) * (2 ** (2 * n - 1) - 1))
-            * abs(bernoulli(2 * n))
-            / factorial(2 * n)
-        )
-        assert table.leading_coefficient(n) == expected
+        assert table.leading_coefficient(n) == signature_leading_coefficient(n)
 
 
 def test_trivial_series_gives_trivial_sequence():

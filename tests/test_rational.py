@@ -51,7 +51,9 @@ def test_parse_rational_accepts_canonical_forms():
     assert parse_rational(" +3/4 ") == Fraction(3, 4)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "", "a/b", "1/0", "1/-3", "3/", "/4", "1 / 2"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "", "a/b", "1/0", "1/-3", "3/", "/4", "1 / 2", "\u0663", "\uff13", "1/1\u0663"]
+)
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -40,6 +40,13 @@ def test_bad_nilpotency_and_duplicate_names_are_rejected():
         RingPresentation((("x", 4, 0),), 12)
     with pytest.raises(ValueError):
         RingPresentation((("x", 4, 2), ("x", 4, 3)), 12)
+    # sizes that are not integers are refused, not truncated
+    with pytest.raises(ValueError, match="degree of generator 'z' must be an integer, got 4.5"):
+        RingPresentation([("z", 4.5, 3.9)], 8.7)
+    with pytest.raises(ValueError, match="nilpotency of generator 'z' must be an integer, got 3.9"):
+        RingPresentation([("z", 4, 3.9)], 8)
+    with pytest.raises(ValueError, match="top degree must be an integer, got 8.7"):
+        RingPresentation([("z", 4, 3)], 8.7)
 
 
 def test_cube_of_linear_combination():

@@ -17,14 +17,19 @@ from genuscalc import (
     xi_total_class,
     xi_total_class_via_character,
 )
-from oracles import nonzero_fraction, random_fraction
+from oracles import (
+    nonzero_fraction,
+    pair_mode_a_hat_coefficient,
+    pair_mode_obstruction_coefficients,
+    random_fraction,
+)
 
 
-def _random_params(rng, n=2):
+def _random_params(rng, n=2, lam=None):
     kwargs = dict(
         A=random_fraction(rng),
         C=random_fraction(rng),
-        lam=nonzero_fraction(rng),
+        lam=nonzero_fraction(rng) if lam is None else lam,
     )
     if n == 2:
         kwargs["B"] = random_fraction(rng)
@@ -143,13 +148,13 @@ def test_p1_cubed_matches_linear_form():
         p1_cubed_total_space(NormalInvariantParams(4, A=1))
 
 
-def test_obstruction_is_linear_in_the_parameters():
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_obstruction_is_linear_in_the_parameters(n):
     rng = random.Random(161803)
-    for _ in range(40):
+    for _ in range(40 if n == 2 else 10):  # larger rings cost more per draw
         lam = nonzero_fraction(rng)
-        p1 = NormalInvariantParams(2, A=random_fraction(rng), B=random_fraction(rng), C=random_fraction(rng), lam=lam)
-        p2 = NormalInvariantParams(2, A=random_fraction(rng), B=random_fraction(rng), C=random_fraction(rng), lam=lam)
-        total = NormalInvariantParams(2, A=p1.A + p2.A, B=p1.B + p2.B, C=p1.C + p2.C, lam=lam)
+        p1, p2 = (_random_params(rng, n, lam) for _ in range(2))
+        total = NormalInvariantParams(n, A=p1.A + p2.A, B=p1.B + p2.B, C=p1.C + p2.C, lam=lam)
         assert surgery_obstruction(total) == surgery_obstruction(p1) + surgery_obstruction(p2)
         assert a_hat_total_space(total) == a_hat_total_space(p1) + a_hat_total_space(p2)
 
@@ -172,10 +177,15 @@ def test_general_obstruction_coefficients_frozen_n2():
 
 
 def test_general_coefficients_match_direct_ring_evaluation():
-    for n in (2, 4, 6):
-        coeff_a, coeff_c = general_obstruction_coefficients(n)
-        assert 8 * surgery_obstruction(NormalInvariantParams(n, A=1)) == coeff_a
-        assert 8 * surgery_obstruction(NormalInvariantParams(n, C=1)) == coeff_c
+    for n in range(2, 10):
+        coeffs = general_obstruction_coefficients(n)
+        assert coeffs == (
+            8 * surgery_obstruction(NormalInvariantParams(n, A=1)),
+            8 * surgery_obstruction(NormalInvariantParams(n, C=1)),
+        )
+        assert coeffs == pair_mode_obstruction_coefficients(n), n
+    # sig(HP^n) = 0 at odd n, so A drops out of sigma there
+    assert general_obstruction_coefficients(3) == (0, Fraction(2032, 15))
 
 
 def test_general_a_hat_coefficient_matches_direct_evaluation():
@@ -184,6 +194,7 @@ def test_general_a_hat_coefficient_matches_direct_evaluation():
         coeff = general_a_hat_coefficient(n)
         assert coeff != 0
         assert a_hat_total_space(NormalInvariantParams(n, C=1)) == coeff
+        assert coeff == pair_mode_a_hat_coefficient(n)
     with pytest.raises(ValueError):
         general_a_hat_coefficient(3)
 
