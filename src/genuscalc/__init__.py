@@ -24,12 +24,11 @@ from .multseq import (
     factored_str,
     genus_table,
     l_genus_table,
-    newton_power_sums,
     partition_terms,
     pont_character,
     pont_classes_from_character,
 )
-from .rational import factorial, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .ring import RingElement, RingPresentation
 from .series import Series, ahat_genus_series, l_genus_series
 from .surgery import (
@@ -43,7 +42,6 @@ from .surgery import (
     solve_bundle,
     surgery_obstruction,
     xi_total_class,
-    xi_total_class_via_character,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "ahat_genus_table",
     "ambient_model",
     "evaluate_genus",
-    "factorial",
     "factored_str",
     "format_rational",
     "general_a_hat_coefficient",
@@ -71,7 +68,6 @@ __all__ = [
     "hp_model",
     "l_genus_series",
     "l_genus_table",
-    "newton_power_sums",
     "p1_cubed_total_space",
     "parse_descriptor",
     "parse_rational",
@@ -85,5 +81,4 @@ __all__ = [
     "sphere_model",
     "surgery_obstruction",
     "xi_total_class",
-    "xi_total_class_via_character",
 ]

@@ -8,9 +8,9 @@ power sums are read off the log of p itself: s_k = (-1)^{k+1} h_k with
 h_k = k [log p]_k.  So a genus is evaluated in the class's own ring with one
 log-derivative and one exp recurrence from `series`, the Pontryagin
 character is a rescaling of the h_k, and its inverse is one more exp.  The
-genus polynomials K_1..K_N are the same exp taken in Q[p_1..p_N], graded by
-|p_i| = 4i; they are built only for display, where their monomials are
-written as partitions.
+genus polynomials K_1..K_N are the genus of the universal class
+1 + p_1 + ... + p_N in Q[p_1..p_N], graded by |p_i| = 4i; they are built only
+for display, where their monomials are written as partitions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "factored_str",
     "genus_table",
     "l_genus_table",
-    "newton_power_sums",
     "partition_terms",
     "pont_character",
     "pont_classes_from_character",
@@ -86,18 +85,6 @@ def _pontryagin_ring(max_weight: int) -> RingPresentation:
     )
 
 
-@lru_cache(maxsize=None)
-def newton_power_sums(max_weight: int) -> tuple[RingElement, ...]:
-    """Power sums s_1..s_N of the roots in the p_i, read as their elementary
-    symmetric functions: by Newton's identity s_n = (-1)^{n+1} h_n, with h the
-    log-derivative parts of 1 + p_1 + ... + p_N."""
-    if max_weight < 0:
-        raise ValueError(f"max weight must be >= 0, got {max_weight}")
-    pres = _pontryagin_ring(max_weight)
-    graded = log_derivative_parts([pres.one()] + [pres.gen(name) for name in pres.names])
-    return tuple(graded[k] * (-1) ** (k + 1) for k in range(1, max_weight + 1))
-
-
 class GenusTable:
     """Multiplicative sequence of a characteristic power series up to weight N.
 
@@ -105,16 +92,11 @@ class GenusTable:
     polynomials K_1..K_N are for display and are built when first read.
     """
 
-    __slots__ = ("_series", "_log", "_polys")
+    __slots__ = ("_log", "_polys")
 
     def __init__(self, series: Series):
-        self._series = series
         self._log = series.log().coefficients
         self._polys: tuple[RingElement, ...] | None = None
-
-    @property
-    def series(self) -> Series:
-        return self._series
 
     @property
     def log_coefficients(self) -> tuple[Fraction, ...]:
@@ -123,18 +105,17 @@ class GenusTable:
 
     @property
     def polys(self) -> tuple[RingElement, ...]:
-        """K_1..K_N in Q[p_1..p_N]: the weight parts of exp(sum_k c_k s_k), with
-        s_k the Newton power sums, from the graded recurrence of `exp_parts`."""
+        """K_1..K_N in Q[p_1..p_N]: the parts of positive degree of the genus
+        of the universal class 1 + p_1 + ... + p_N."""
         if self._polys is None:
-            sums = newton_power_sums(self.max_weight)
             pres = _pontryagin_ring(self.max_weight)
-            graded = [pres.zero()] + [s * (k * self._log[k]) for k, s in enumerate(sums, 1)]
-            self._polys = tuple(exp_parts(graded, pres.one())[1:])
+            universal = sum((pres.gen(name) for name in pres.names), pres.one())
+            self._polys = tuple(_genus_parts(self, universal)[1:])
         return self._polys
 
     @property
     def max_weight(self) -> int:
-        return self._series.order
+        return len(self._log) - 1
 
     def poly(self, i: int) -> RingElement:
         """K_i, 1-indexed."""
@@ -149,7 +130,8 @@ class GenusTable:
         return (-1) ** (n + 1) * n * self._log[n]
 
     def __repr__(self) -> str:
-        return f"<GenusTable of weight {self.max_weight} for {self._series!r}>"
+        log = ", ".join(map(str, self._log))
+        return f"<GenusTable of weight {self.max_weight}, log coefficients {log}>"
 
 
 def genus_table(q: Series, max_weight: int) -> GenusTable:
@@ -184,10 +166,10 @@ def _unit_class_parts(total_class: RingElement, max_weight: int) -> list[RingEle
     return [total_class.homogeneous_part(4 * i) for i in range(max_weight + 1)]
 
 
-def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
-    """Evaluate the multiplicative sequence on a total class with constant term 1.
+def _genus_parts(table: GenusTable, total_class: RingElement) -> list[RingElement]:
+    """Parts of degree 0, 4, ..., 4N of the genus of a class with constant term 1.
 
-    The degree-4i part of the class plays the role of p_i, and the result
+    The degree-4i part of the class plays the role of p_i, and the genus
     1 + sum_i K_i(p_1..p_i) is computed in the class's own ring as
     exp(sum_k c_k s_k): with h_k the log-derivative parts of the class,
     s_k = (-1)^{k+1} h_k, so the exponent has D-parts (-1)^{k+1} k c_k h_k.
@@ -204,7 +186,13 @@ def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
     c = table.log_coefficients
     for k in range(1, needed + 1):
         graded[k] = graded[k] * ((-1) ** (k + 1) * k * c[k])
-    return sum(exp_parts(graded, pres.one()), pres.zero())
+    return exp_parts(graded, pres.one())
+
+
+def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
+    """Evaluate the multiplicative sequence on a total class with constant term 1,
+    giving 1 + sum_i K_i(p_1..p_i) with p_i the degree-4i part of the class."""
+    return sum(_genus_parts(table, total_class), total_class.presentation.zero())
 
 
 def pont_character(total_class: RingElement, max_weight: int) -> list[RingElement]:

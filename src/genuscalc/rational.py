@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, formatting and factorials.
+"""Exact rational scalars: parsing and formatting.
 
 Every computation in this package runs on `fractions.Fraction`.  Results
 are always in canonical reduced form with a positive denominator; nothing is
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
 
-__all__ = ["factorial", "format_rational", "parse_rational"]
+__all__ = ["format_rational", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 

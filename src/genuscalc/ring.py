@@ -204,30 +204,18 @@ class RingElement:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other):
-        if isinstance(other, RingElement):
-            self._check_same_ring(other)
-            out = dict(self._terms)
-            for e, c in other._terms.items():
-                out[e] = out.get(e, Fraction(0)) + c
-            return RingElement(self._pres, out)
-        if isinstance(other, (int, Fraction)):
-            return self + self._pres.one() * other
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + other
-        return NotImplemented
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        self._check_same_ring(other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return RingElement(self._pres, out)
 
     def __sub__(self, other):
-        if isinstance(other, (RingElement, int, Fraction)):
-            return self + (-other if isinstance(other, RingElement) else -Fraction(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        return NotImplemented
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return self + (-other)
 
     def __neg__(self) -> RingElement:
         return RingElement(self._pres, {e: -c for e, c in self._terms.items()})

@@ -14,8 +14,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
 
-from .formatting import signed_sum
-
 __all__ = ["Series", "ahat_genus_series", "l_genus_series"]
 
 # The recurrences below act on the homogeneous parts a_0..a_N of an element
@@ -60,8 +58,7 @@ def exp_parts(graded: Sequence, one) -> list:
 class Series:
     """Power series truncated at a fixed order, with Fraction coefficients.
 
-    Binary operations truncate the result to the smaller order of the two
-    operands; scalar operations keep the order.
+    A product is truncated to the smaller order of its two factors.
     """
 
     __slots__ = ("_coeffs",)
@@ -99,42 +96,12 @@ class Series:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: Series) -> Series:
+    def __mul__(self, other: Series) -> Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)], n)
-
-    def __sub__(self, other: Series) -> Series:
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return Series([self._coeffs[k] - other._coeffs[k] for k in range(n + 1)], n)
-
-    def __neg__(self) -> Series:
-        return Series([-c for c in self._coeffs], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                a = self._coeffs[i]
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return Series(out, n)
-        if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self._coeffs], self.order)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Series([other * c for c in self._coeffs], self.order)
-        return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        return Series([a[0] * b[k] + _convolve(a, b, k) for k in range(n + 1)], n)
 
     def __pow__(self, exponent: int) -> Series:
         if not isinstance(exponent, int) or exponent < 0:
@@ -170,14 +137,6 @@ class Series:
             raise ValueError("log requires constant term 1")
         graded = log_derivative_parts(self._coeffs)
         return Series([0] + [h / k for k, h in enumerate(graded[1:], 1)], self.order)
-
-    def __str__(self) -> str:
-        def mono(k: int) -> str:
-            if k == 0:
-                return ""
-            return "z" if k == 1 else f"z^{k}"
-
-        return signed_sum((c, mono(k)) for k, c in enumerate(self._coeffs))
 
     def __repr__(self) -> str:
         return f"Series([{', '.join(str(c) for c in self._coeffs)}])"

@@ -16,14 +16,9 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
 
 from .manifolds import ManifoldModel, hp_model, product_model, signature, sphere_model
-from .multseq import (
-    ahat_genus_table,
-    evaluate_genus,
-    l_genus_table,
-    pont_classes_from_character,
-)
+from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .record import FrozenRecord
-from .ring import RingElement
+from .ring import RingElement, _size
 
 __all__ = [
     "BundleSolution",
@@ -36,7 +31,6 @@ __all__ = [
     "solve_bundle",
     "surgery_obstruction",
     "xi_total_class",
-    "xi_total_class_via_character",
 ]
 
 
@@ -57,6 +51,7 @@ class NormalInvariantParams(FrozenRecord):
         C: Fraction = Fraction(0),
         lam: Fraction = Fraction(1),
     ) -> None:
+        n = _size(n, "fibre projective dimension n")
         super().__init__(n, Fraction(A), Fraction(B), Fraction(C), Fraction(lam))
         if n < 2:
             raise ValueError(f"fibre projective dimension must be >= 2, got {n}")
@@ -106,17 +101,6 @@ def xi_total_class(params: NormalInvariantParams) -> RingElement:
             (1, n): lam * params.C * ((-1) ** n * factorial(2 * n + 1)),
         }
     )
-
-
-def xi_total_class_via_character(params: NormalInvariantParams) -> RingElement:
-    """Recover the n = 2 total class from ph(xi) = lambda u (A + B z + C z^2)."""
-    if params.n != 2:
-        raise ValueError(f"character form of the bundle is specific to n = 2, got n = {params.n}")
-    pres = ambient_model(2).presentation
-    character = [
-        pres.element({(1, k): params.lam * c}) for k, c in enumerate((params.A, params.B, params.C))
-    ]
-    return pont_classes_from_character(character)
 
 
 def _surgered_integral(params: NormalInvariantParams, genus_table) -> Fraction:

@@ -7,6 +7,7 @@ lines appear in each test's captured stdout.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from genuscalc import (
     NormalInvariantParams,
@@ -22,7 +23,6 @@ from genuscalc import (
     hp_model,
     l_genus_series,
     l_genus_table,
-    newton_power_sums,
     p1_cubed_total_space,
     partition_terms,
     pont_character,
@@ -234,9 +234,12 @@ def test_criterion_10_property_suite():
                 assert evaluate_genus(table, a * b) == evaluate_genus(
                     table, a
                 ) * evaluate_genus(table, b)
-        # Newton identities against brute-force expansion in four variables
+        # Newton identities against brute-force expansion in four variables: the
+        # power sums of the universal class are s_k = (2k)!/2 ph_k
         for k in range(1, 5):
-            poly = newton_power_sums(k)[k - 1]
+            ring = RingPresentation([(f"p{i}", 4 * i, k // i + 1) for i in range(1, k + 1)], 4 * k)
+            universal = sum((ring.gen(name) for name in ring.names), ring.one())
+            poly = pont_character(universal, k)[k - 1] * Fraction(factorial(2 * k), 2)
             assert expand_in_variables(partition_terms(poly), 4) == power_sum(k, 4)
         # ring inverses multiply back to one
         for _ in range(30):

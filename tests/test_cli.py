@@ -121,6 +121,19 @@ def test_manifold_text_output(capsys):
     )
 
 
+def test_manifold_product_with_a_repeated_factor(capsys):
+    status, out, err = _invoke(capsys, ["manifold", "--descriptor", "product:hp:2,hp:2"])
+    assert status == 0 and err == ""
+    assert out == (
+        "manifold: HP2 x HP2\n"
+        "dimension: 16\n"
+        "pontryagin: 1 + 2*z2 + 7*z2^2 + 2*z1 + 4*z1*z2 + 14*z1*z2^2 + 7*z1^2 + 14*z1^2*z2"
+        " + 49*z1^2*z2^2\n"
+        "signature: 1\n"
+        "ahat: 0\n"
+    )
+
+
 def test_manifold_report_selection(capsys):
     status, out, err = _invoke(
         capsys, ["manifold", "--descriptor", "product:s:4,hp:2", "--report", "signature"]
@@ -330,6 +343,10 @@ _N_CAP = MODEL_MAX_WEIGHT - 1
         (["manifold", "--descriptor", "hp:" + _HUGE], "manifold size with 5000 digits is too large"),
         (["surgery", "--n", "2", "--A=" + _HUGE], "argument --A: 5000-digit integer is too large"),
         (["surgery", "--n", "2", "--C=-1/" + _HUGE], "argument --C: 5000-digit integer is too large"),
+        (["manifold", "--descriptor", "product:" + ",".join(["hp:2"] * 24)],
+         f"product ring with at most 200 monomials is supported, got {3**24}"),
+        (["manifold", "--descriptor", "product:hp:15,hp:13"],
+         "product ring with at most 200 monomials is supported, got 224"),
     ],
 )
 def test_oversized_inputs_are_refused_quickly(capsys, argv, message):

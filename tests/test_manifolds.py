@@ -1,8 +1,11 @@
 """Manifold catalog: tangent classes, signatures, A-hat genera, products."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genuscalc import (
     ManifoldModel,
@@ -48,10 +51,13 @@ def test_hp_tangent_classes_match_binomial_oracle():
 def test_hp_model_rejects_bad_input():
     with pytest.raises(ValueError):
         hp_model(0)
-    with pytest.raises(ValueError):
-        hp_model(2, top_degree=4)
-    with pytest.raises(ValueError, match="top degree must be an integer, got 11.9"):
-        hp_model(2, top_degree=11.9)
+    with pytest.raises(ValueError, match="projective dimension n must be an integer, got 2.0"):
+        hp_model(2.0)
+
+
+def test_hp_model_names_the_converted_dimension():
+    model = hp_model(True)
+    assert model.name == "HP1" and model.dimension == 4
 
 
 def test_hp_signature_is_one_in_even_dimensions_zero_in_odd():
@@ -75,6 +81,8 @@ def test_sphere_model_rejects_bad_dimensions():
     for k in (0, 2, 6, -4):
         with pytest.raises(ValueError):
             sphere_model(k)
+    with pytest.raises(ValueError, match="sphere dimension k must be an integer, got 8.0"):
+        sphere_model(8.0)
 
 
 def test_point_model_integrates_constants():
@@ -108,11 +116,27 @@ def test_product_signature_is_multiplicative():
     assert signature(product_model(sphere_model(8), hp_model(2))) == 0
 
 
-def test_product_rejects_colliding_generator_names():
-    with pytest.raises(ValueError):
-        product_model(sphere_model(4), sphere_model(8))
-    with pytest.raises(ValueError):
-        product_model(hp_model(2), hp_model(3))
+def test_product_renames_colliding_generator_names():
+    assert product_model(sphere_model(4), sphere_model(8)).presentation.names == ("u1", "u2")
+    hp2_squared = product_model(hp_model(2), hp_model(2))
+    assert hp2_squared.presentation.names == ("z1", "z2")
+    assert hp2_squared.fundamental == (2, 2)
+    assert str(hp2_squared.tangent_pontryagin) == (
+        "1 + 2*z2 + 7*z2^2 + 2*z1 + 4*z1*z2 + 14*z1*z2^2 + 7*z1^2 + 14*z1^2*z2 + 49*z1^2*z2^2"
+    )
+    assert signature(hp2_squared) == 1 and a_hat_genus(hp2_squared) == 0
+    assert signature(parse_descriptor("product:s:4,s:4")) == 0
+
+
+def test_nested_products_keep_generator_names_distinct():
+    hp1 = hp_model(1)
+    square = product_model(hp1, hp1)
+    assert product_model(square, hp1).presentation.names == ("z1", "z2", "z")
+    assert product_model(square, square).presentation.names == ("z11", "z21", "z12", "z22")
+    # a suffix already in use is skipped
+    assert product_model(product_model(hp1, square), hp1).presentation.names == (
+        "z3", "z1", "z2", "z4"
+    )
 
 
 def test_integrate_reads_the_fundamental_coefficient():
@@ -142,12 +166,37 @@ def test_descriptor_parsing():
     assert swapped.name == "HP2 x S4"
     assert swapped.presentation.names == ("z", "u")
     assert signature(prod) == signature(swapped)
+    square = parse_descriptor("product:hp:2,hp:2")
+    assert square.name == "HP2 x HP2"
+    assert square.presentation.names == ("z1", "z2")
 
 
 @pytest.mark.parametrize(
     "bad",
-    ["hp:0", "s:6", "x:1", "hp:two", "hp:-1", "product:hp:2", "product:", "", "product:hp:2,hp:3"],
+    ["hp:0", "s:6", "x:1", "hp:two", "hp:-1", "product:hp:2", "product:", ""],
 )
 def test_descriptor_parsing_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_descriptor(bad)
+
+
+ATOM_WEIGHTS = {"hp:1": 1, "hp:2": 2, "hp:3": 3, "s:4": 1, "s:8": 2}
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two products of catalog atoms, repeats included, of total weight <= 6."""
+    atoms = draw(st.lists(st.sampled_from(sorted(ATOM_WEIGHTS)), min_size=2, max_size=6))
+    while sum(ATOM_WEIGHTS[a] for a in atoms) > 6:
+        atoms.pop()
+    split = draw(st.integers(1, len(atoms) - 1))
+    return atoms[:split], atoms[split:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(factor_pairs())
+def test_genera_are_multiplicative_on_products(pair):
+    first, second = (reduce(product_model, map(parse_descriptor, atoms)) for atoms in pair)
+    both = product_model(first, second)
+    assert signature(both) == signature(first) * signature(second)
+    assert a_hat_genus(both) == a_hat_genus(first) * a_hat_genus(second)

@@ -1,8 +1,10 @@
 """The package namespace re-exports exactly the public names of its layers,
-and no module keeps an unused import or an unreferenced private helper."""
+no module keeps an unused import or an unreferenced private helper, and the
+benchmark's tracer and worker still find what they wrap and call."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import genuscalc
@@ -67,3 +69,31 @@ def test_every_private_module_level_helper_is_referenced():
             ):
                 dead.append(f"{filename}: {node.name}")
     assert dead == []
+
+
+# What `bench/worker.py` calls in each layer during a lib-sweep operation.
+_WORKER_CALLS = {
+    "surgery": ("NormalInvariantParams", "ambient_model", "a_hat_total_space",
+                "p1_cubed_total_space", "surgery_obstruction"),
+    "manifolds": ("a_hat_genus", "hp_model", "product_model", "signature", "sphere_model"),
+    "multseq": ("pont_character", "pont_classes_from_character"),
+}
+
+
+def test_bench_tracer_installs_and_the_worker_calls_exist():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    bench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tracer)
+    tracer = bench_tracer.Tracer()
+    surgery = importlib.import_module("genuscalc.surgery")
+    original = surgery.evaluate_genus
+    tracer.install()
+    try:
+        assert surgery.evaluate_genus is not original
+    finally:
+        tracer.uninstall()
+    assert surgery.evaluate_genus is original
+    for layer, names in _WORKER_CALLS.items():
+        module = importlib.import_module(f"genuscalc.{layer}")
+        assert [name for name in names if not hasattr(module, name)] == [], layer

@@ -1,11 +1,11 @@
-"""Exact scalar layer: Fraction arithmetic, parsing and factorials; the Bernoulli oracles."""
+"""Exact scalar layer: Fraction arithmetic, parsing and formatting; the Bernoulli oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from genuscalc import factorial, format_rational, parse_rational
+from genuscalc import format_rational, parse_rational
 from oracles import akiyama_tanigawa, bernoulli, random_fraction
 
 
@@ -71,20 +71,6 @@ def test_format_parse_round_trip():
     for _ in range(200):
         q = random_fraction(rng, span=5000, max_den=5000)
         assert parse_rational(format_rational(q)) == q
-
-
-def test_factorial_frozen_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(7) == 5040
-    assert factorial(9) == 362880
-
-
-def test_factorial_against_running_product():
-    acc = 1
-    for k in range(1, 26):
-        acc *= k
-        assert factorial(k) == acc
 
 
 def test_bernoulli_frozen_values():

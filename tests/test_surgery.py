@@ -12,10 +12,10 @@ from genuscalc import (
     general_a_hat_coefficient,
     general_obstruction_coefficients,
     p1_cubed_total_space,
+    pont_classes_from_character,
     solve_bundle,
     surgery_obstruction,
     xi_total_class,
-    xi_total_class_via_character,
 )
 from oracles import (
     nonzero_fraction,
@@ -45,6 +45,23 @@ def test_params_validation():
         NormalInvariantParams(3, B=1)
     params = NormalInvariantParams(2, A=1, B=2, C=3, lam=4)
     assert params.A == Fraction(1) and params.lam == Fraction(4)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+def test_params_refuse_a_non_integer_n(n):
+    with pytest.raises(ValueError, match=r"dimension n must be an integer, got "):
+        NormalInvariantParams(n, A=1)
+
+
+def test_params_convert_n_to_an_int():
+    class Four:
+        def __index__(self):
+            return 4
+
+    params = NormalInvariantParams(Four(), C=1)
+    assert type(params.n) is int and params.n == 4
+    with pytest.raises(ValueError, match="must be >= 2, got 1"):
+        NormalInvariantParams(True, A=1)
 
 
 def test_ambient_model_is_the_product_ring():
@@ -92,14 +109,21 @@ def test_xi_total_class_general_n_keeps_only_edge_classes():
 
 
 def test_character_route_agrees_with_direct_construction():
+    # at n = 2 the bundle has ph(xi) = lambda u (A + B z + C z^2)
+    pres = ambient_model(2).presentation
+
+    def via_character(params):
+        components = (params.A, params.B, params.C)
+        return pont_classes_from_character(
+            [pres.element({(1, k): params.lam * c}) for k, c in enumerate(components)]
+        )
+
     params = NormalInvariantParams(2, A=1, B=1, C=1)
-    assert xi_total_class_via_character(params) == xi_total_class(params)
+    assert via_character(params) == xi_total_class(params)
     rng = random.Random(42)
     for _ in range(60):
         params = _random_params(rng)
-        assert xi_total_class_via_character(params) == xi_total_class(params)
-    with pytest.raises(ValueError):
-        xi_total_class_via_character(NormalInvariantParams(4, A=1))
+        assert via_character(params) == xi_total_class(params)
 
 
 def test_surgery_obstruction_frozen_values():
