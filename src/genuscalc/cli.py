@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from .manifolds import a_hat_genus, parse_descriptor, signature
+from .manifolds import MODEL_MAX_WEIGHT, a_hat_genus, parse_descriptor, signature
 from .multseq import ahat_genus_table, factored_str, l_genus_table, partition_terms, pont_character
 from .rational import format_rational, parse_rational
 from .series import ahat_genus_series, l_genus_series
@@ -35,10 +35,6 @@ _RATIONAL_FLAGS = ("--A", "--B", "--C", "--lambda")
 # at the cap, and the cost grows quickly past it.
 COEFF_MAX_WEIGHT = 150
 GENUS_MAX_WEIGHT = 16
-# Largest weight (dimension / 4) of a manifold that `manifold` builds, and of
-# the base S^4 x HP^n (weight n + 1) of `pontryagin`, `surgery` and
-# `solve-bundle`.  Every command finishes in under a second at the cap.
-MODEL_MAX_WEIGHT = 48
 
 
 class CommandError(Exception):
@@ -137,13 +133,15 @@ def _cmd_genus(args: argparse.Namespace):
 
 
 def _cmd_manifold(args: argparse.Namespace):
-    model = parse_descriptor(args.descriptor, max_dimension=4 * MODEL_MAX_WEIGHT)
+    model = parse_descriptor(args.descriptor)
     wanted = [r.strip() for r in args.report.split(",") if r.strip()]
     for r in wanted:
         if r not in _REPORTS:
             raise CommandError(
                 f"unknown report {r!r}, expected one of {', '.join(_REPORTS)}"
             )
+        if wanted.count(r) > 1:
+            raise CommandError(f"duplicate report {r!r}")
     if not wanted:
         raise CommandError("empty report list")
     lines = [f"manifold: {model.name}", f"dimension: {model.dimension}"]

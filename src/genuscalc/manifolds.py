@@ -13,12 +13,11 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import count
-from math import prod
+from math import comb, prod
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .record import FrozenRecord
 from .ring import RingElement, RingPresentation, _size
-from .series import Series
 
 __all__ = [
     "ManifoldModel",
@@ -62,14 +61,15 @@ def hp_model(n: int) -> ManifoldModel:
     """Quaternionic projective space HP^n, cohomology Q[z]/(z^{n+1}) with |z| = 4.
 
     The total Pontryagin class of the tangent bundle is
-    (1 + z)^{2n+2} (1 + 4z)^{-1}, truncated at z^n.
+    (1 + z)^{2n+2} (1 + 4z)^{-1}, truncated at z^n: its coefficient of z^k
+    is p_k = sum_{j<=k} C(2n+2, j) (-4)^{k-j}.
     """
     n = _size(n, "projective dimension n")
     if n < 1:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
     pres = RingPresentation((("z", 4, n + 1),), 4 * n)
-    tangent = Series([1, 1], n) ** (2 * n + 2) * Series([1, 4], n).inverse()
-    element = pres.element({(k,): tangent[k] for k in range(n + 1)})
+    p = [sum(comb(2 * n + 2, j) * (-4) ** (k - j) for j in range(k + 1)) for k in range(n + 1)]
+    element = pres.element({(k,): p_k for k, p_k in enumerate(p)})
     return ManifoldModel(f"HP{n}", 4 * n, pres, element, (n,))
 
 
@@ -111,25 +111,19 @@ def product_model(first: ManifoldModel, second: ManifoldModel) -> ManifoldModel:
     """Product manifold: tensor ring, Whitney product tangent class.
 
     A generator name used by both factors is renamed in each, as in
-    HP^2 x HP^2 with generators z1 and z2; other names are kept.
+    HP^2 x HP^2 with generators z1 and z2; other names are kept.  A product
+    monomial's exponent vector is the concatenation of the factors' vectors.
     """
     names = _product_names(first.presentation.names, second.presentation.names)
     specs = first.presentation.generators + second.presentation.generators
     gens = [(name, degree, nilpotency) for name, (_, degree, nilpotency) in zip(names, specs)]
     top = first.presentation.top_degree + second.presentation.top_degree
     pres = RingPresentation(gens, top)
-
-    def embed(element: RingElement, offset: int) -> RingElement:
-        width = pres.ngens
-        own = element.presentation.ngens
-        terms = {}
-        for exps, coeff in element.terms.items():
-            key = (0,) * offset + exps + (0,) * (width - offset - own)
-            terms[key] = coeff
-        return pres.element(terms)
-
-    split = first.presentation.ngens
-    tangent = embed(first.tangent_pontryagin, 0) * embed(second.tangent_pontryagin, split)
+    tangent = pres.element({
+        e1 + e2: c1 * c2
+        for e1, c1 in first.tangent_pontryagin.terms.items()
+        for e2, c2 in second.tangent_pontryagin.terms.items()
+    })
     return ManifoldModel(
         f"{first.name} x {second.name}",
         first.dimension + second.dimension,
@@ -158,11 +152,14 @@ def a_hat_genus(model: ManifoldModel) -> Fraction:
     return _genus_integral(model, ahat_genus_table, "A-hat genus")
 
 
-# Largest number of monomials of a product ring that a bounded
-# `parse_descriptor` builds.  Every such product answers `manifold` in under a
-# second: the slowest, HP^3 x HP^44 with 180 monomials, takes ~0.6 s cold on a
-# 2-vCPU VM with CPython 3.11.  Repeated factors would otherwise reach
-# HP^2 x ... x HP^2, 24 factors with 3^24 monomials.
+# Largest weight (dimension / 4) of a manifold that `parse_descriptor` builds,
+# and of the CLI's base S^4 x HP^n (weight n + 1); each command takes under a
+# second at the cap.
+MODEL_MAX_WEIGHT = 48
+# Largest number of monomials of a ring that `parse_descriptor` builds; a single
+# atom within the dimension cap has at most 49.  The slowest product, HP^3 x HP^44
+# with 180 monomials, takes ~0.6 s cold on a 2-vCPU VM with CPython 3.11.
+# Repeated factors would otherwise reach HP^2 x ... x HP^2 with 3^24 monomials.
 _MAX_PRODUCT_MONOMIALS = 200
 
 
@@ -187,30 +184,30 @@ def _parse_positive_int(body: str, descriptor: str) -> int:
         raise ValueError(f"manifold size with {len(body)} digits is too large") from None
 
 
-def parse_descriptor(text: str, max_dimension: int | None = None) -> ManifoldModel:
+def parse_descriptor(text: str) -> ManifoldModel:
     """Build a catalog manifold from ``hp:<n>``, ``s:<k>``, or ``product:a,b,...``.
 
-    When max_dimension is given, a manifold of larger dimension, or a product
-    whose ring has more than 200 monomials, is refused before anything is built.
+    A manifold of dimension above 4 * MODEL_MAX_WEIGHT, or a product whose
+    ring has more than 200 monomials, is refused before anything is built.
     """
     t = text.strip()
     if t.startswith("product:"):
         parts = [p.strip() for p in t[len("product:"):].split(",")]
-        if len(parts) < 2 or not all(parts):
+        if len(parts) < 2:
             raise ValueError(f"product descriptor needs at least two factors, got {text!r}")
+        if not all(parts):
+            raise ValueError(f"empty factor in product descriptor {text!r}")
     else:
         parts = [t]
     atoms = [_parse_atom(p) for p in parts]
-    if max_dimension is not None:
-        dimension = sum(d for d, _, _ in atoms)
-        if dimension > max_dimension:
-            raise ValueError(
-                f"manifold dimension at most {max_dimension} is supported, got {dimension}"
-            )
-        monomials = prod(m for _, m, _ in atoms)
-        if len(atoms) > 1 and monomials > _MAX_PRODUCT_MONOMIALS:
-            raise ValueError(
-                f"product ring with at most {_MAX_PRODUCT_MONOMIALS} monomials is "
-                f"supported, got {monomials}"
-            )
+    cap = 4 * MODEL_MAX_WEIGHT
+    dimension = sum(d for d, _, _ in atoms)
+    if dimension > cap:
+        raise ValueError(f"manifold dimension at most {cap} is supported, got {dimension}")
+    monomials = prod(m for _, m, _ in atoms)
+    if monomials > _MAX_PRODUCT_MONOMIALS:
+        raise ValueError(
+            f"product ring with at most {_MAX_PRODUCT_MONOMIALS} monomials is "
+            f"supported, got {monomials}"
+        )
     return reduce(product_model, (build() for _, _, build in atoms))

@@ -108,9 +108,10 @@ class GenusTable:
         """K_1..K_N in Q[p_1..p_N]: the parts of positive degree of the genus
         of the universal class 1 + p_1 + ... + p_N."""
         if self._polys is None:
-            pres = _pontryagin_ring(self.max_weight)
-            universal = sum((pres.gen(name) for name in pres.names), pres.one())
-            self._polys = tuple(_genus_parts(self, universal)[1:])
+            n = self.max_weight
+            # the zero exponent vector (j = -1) and the unit vector of each p_{j+1}
+            universal = {tuple(int(i == j) for i in range(n)): 1 for j in range(-1, n)}
+            self._polys = tuple(_genus_parts(self, _pontryagin_ring(n).element(universal))[1:])
         return self._polys
 
     @property

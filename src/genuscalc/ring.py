@@ -178,6 +178,7 @@ class RingElement:
 
     def homogeneous_part(self, degree: int) -> RingElement:
         """The sum of terms of exactly the given degree."""
+        degree = _size(degree, "degree")
         if degree < 0 or degree > self._pres.top_degree:
             raise ValueError(
                 f"degree {degree} is outside 0..{self._pres.top_degree}"

@@ -5,7 +5,9 @@ expanded literally in explicit variables, products are naive dictionary
 convolutions, Bernoulli numbers come from two schemes checked against each
 other, binomial series are summed term by term from math.comb, and genera
 and characters are evaluated by substituting ring classes into every
-partition monomial.
+partition monomial.  The last section is the exception: it keeps routes the
+package used before a closed form replaced them, as references for those
+closed forms.
 """
 
 from __future__ import annotations
@@ -276,3 +278,32 @@ def pair_mode_obstruction_coefficients(n: int) -> tuple[Fraction, Fraction]:
 def pair_mode_a_hat_coefficient(n: int) -> Fraction:
     """Total-space A-hat genus at C = 1: a_{n+1} (2n+1)! (-1)^{n+1}."""
     return a_hat_leading_coefficient(n + 1) * factorial(2 * n + 1) * (-1) ** (n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Former package routes, built from package series and ring arithmetic.
+
+
+def hp_tangent_by_series(n: int) -> list[Fraction]:
+    """Coefficients of (1+z)^{2n+2} (1+4z)^{-1} truncated at z^n, as a
+    `Series` power times a `Series` inverse."""
+    from genuscalc.series import Series
+
+    tangent = Series([1, 1], n) ** (2 * n + 2) * Series([1, 4], n).inverse()
+    return list(tangent.coefficients)
+
+
+def product_tangent_by_embedding(pres, first, second):
+    """The Whitney product of two factor classes in the product ring `pres`:
+    each class is padded with zero exponents to the product's generators,
+    the first on the left and the second on the right, and the two are
+    multiplied in the ring."""
+
+    def embed(element, offset):
+        width, own = pres.ngens, element.presentation.ngens
+        return pres.element({
+            (0,) * offset + exps + (0,) * (width - offset - own): coeff
+            for exps, coeff in element.terms.items()
+        })
+
+    return embed(first, 0) * embed(second, first.presentation.ngens)

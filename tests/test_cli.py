@@ -142,6 +142,21 @@ def test_manifold_report_selection(capsys):
     assert out == "manifold: S4 x HP2\ndimension: 12\nsignature: 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hp:2", "--report", "ahat,ahat"], "duplicate report 'ahat'"),
+        (["hp:2", "--report", "signature, pontryagin,signature"], "duplicate report 'signature'"),
+        (["product:hp:2,,hp:2"], "empty factor in product descriptor 'product:hp:2,,hp:2'"),
+        (["product:s:4"], "product descriptor needs at least two factors, got 'product:s:4'"),
+    ],
+)
+def test_manifold_input_errors_name_the_fault(capsys, argv, message):
+    status, out, err = _invoke(capsys, ["manifold", "--descriptor", *argv])
+    assert status == 2 and out == ""
+    assert err == f"genuscalc: error: {message}\n"
+
+
 def test_pontryagin_text_output(capsys):
     status, out, err = _invoke(
         capsys,
@@ -285,6 +300,8 @@ def test_repeat_runs_are_byte_identical(capsys):
         ["surgery", "--n", "2", "--C", "-2/7"],
         ["coeff", "--series", "L", "--weight", "1", "x\ny"],
         ["surgery", "--n", "2", "--A", "\u0663", "--C", "\uff13"],
+        ["manifold", "--descriptor", "hp:2", "--report", "ahat,ahat"],
+        ["manifold", "--descriptor", "product:hp:2,,hp:2"],
     ],
 )
 def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from genuscalc import (
     signature,
     sphere_model,
 )
-from oracles import binomial_inverse_product
+from genuscalc.surgery import ambient_model
+from oracles import binomial_inverse_product, hp_tangent_by_series, product_tangent_by_embedding
 
 
 def test_hp2_tangent_class_frozen():
@@ -46,6 +48,13 @@ def test_hp_tangent_classes_match_binomial_oracle():
         expected = binomial_inverse_product(2 * n + 2, 4, n)
         got = [model.tangent_pontryagin.coefficient((k,)) for k in range(n + 1)]
         assert got == expected, f"n={n}"
+
+
+def test_hp_tangent_classes_match_the_series_route():
+    for n in range(1, 49):
+        model = hp_model(n)
+        got = [model.tangent_pontryagin.coefficient((k,)) for k in range(n + 1)]
+        assert got == hp_tangent_by_series(n), f"n={n}"
 
 
 def test_hp_model_rejects_bad_input():
@@ -101,6 +110,39 @@ def test_product_ring_structure():
     assert model.presentation.top_degree == 12
     assert model.fundamental == (1, 2)
     assert model.tangent_pontryagin.terms == {(0, 0): 1, (0, 1): 2, (0, 2): 7}
+
+
+PRODUCT_ATOMS = [f"hp:{n}" for n in range(1, 7)] + ["s:4", "s:8"]
+
+
+def _assert_tangent_matches_embedding(first, second):
+    both = product_model(first, second)
+    expected = product_tangent_by_embedding(
+        both.presentation, first.tangent_pontryagin, second.tangent_pontryagin
+    )
+    assert both.tangent_pontryagin == expected, both.name
+    return both
+
+
+@pytest.mark.parametrize("left", PRODUCT_ATOMS)
+def test_product_tangent_class_matches_the_embedding_route(left):
+    for right in PRODUCT_ATOMS:  # includes the repeated factor left x left
+        _assert_tangent_matches_embedding(parse_descriptor(left), parse_descriptor(right))
+
+
+def test_three_factor_tangent_classes_match_the_embedding_route():
+    atoms = ["hp:1", "hp:2", "hp:3", "s:4", "s:8"]
+    for triple in product(atoms, repeat=3):
+        first, second, third = map(parse_descriptor, triple)
+        _assert_tangent_matches_embedding(_assert_tangent_matches_embedding(first, second), third)
+        _assert_tangent_matches_embedding(first, _assert_tangent_matches_embedding(second, third))
+
+
+def test_genera_of_s4_x_hpn_vanish():
+    for n in range(1, 13):
+        model = ambient_model(n)
+        assert signature(model) == 0, f"n={n}"
+        assert a_hat_genus(model) == 0, f"n={n}"
 
 
 def test_product_with_point_changes_nothing():

@@ -1,15 +1,25 @@
 """The package namespace re-exports exactly the public names of its layers,
-no module keeps an unused import or an unreferenced private helper, and the
-benchmark's tracer and worker still find what they wrap and call."""
+no module keeps an unused import or an unreferenced private helper, the
+benchmark's tracer and worker still find what they wrap and call, and the
+first lib-sweep operations pass the benchmark's own checks."""
 
 import ast
 import importlib
 import importlib.util
+from itertools import islice
 from pathlib import Path
 
 import genuscalc
 
 LAYERS = ("rational", "series", "ring", "multseq", "manifolds", "surgery")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench_module(filename: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_package_exports_the_union_of_the_layer_exports():
@@ -81,11 +91,7 @@ _WORKER_CALLS = {
 
 
 def test_bench_tracer_installs_and_the_worker_calls_exist():
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    bench_tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_tracer)
-    tracer = bench_tracer.Tracer()
+    tracer = _load_bench_module("tracer.py", "bench_tracer").Tracer()
     surgery = importlib.import_module("genuscalc.surgery")
     original = surgery.evaluate_genus
     tracer.install()
@@ -97,3 +103,19 @@ def test_bench_tracer_installs_and_the_worker_calls_exist():
     for layer, names in _WORKER_CALLS.items():
         module = importlib.import_module(f"genuscalc.{layer}")
         assert [name for name in names if not hasattr(module, name)] == [], layer
+
+
+def test_lib_sweep_operations_pass_the_bench_checks(monkeypatch):
+    # the worker imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = _load_bench_module("worker.py", "bench_worker")
+    library = worker.Library()
+    library.warm_up()
+    seen = set()
+    for op in islice(worker.ops.lib_sweep(1), 100):
+        worker.check_lib(op, library.run(op))
+        seen.add(op[:2] if op[0] != "character" else op[:1])
+    assert seen == (
+        {("surgery", n) for n in range(2, 9)}
+        | {("manifold", "hp"), ("manifold", "s4xhp"), ("character",)}
+    )

@@ -169,6 +169,9 @@ def test_homogeneous_part_extraction():
         a.homogeneous_part(16)
     with pytest.raises(ValueError):
         a.homogeneous_part(-4)
+    for bad in (4.5, 4.0):
+        with pytest.raises(ValueError, match=f"^degree must be an integer, got {bad}$"):
+            a.homogeneous_part(bad)
 
 
 def test_coefficient_extraction_is_linear():
