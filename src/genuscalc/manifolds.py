@@ -1,10 +1,10 @@
 """Cohomology models of the closed manifolds used by the surgery pipeline.
 
-A `ManifoldModel` bundles a truncated cohomology ring, the total Pontryagin
-class of the tangent bundle inside that ring, and the exponent vector of the
-fundamental monomial against which characteristic numbers are read off.
-The catalog covers quaternionic projective spaces, spheres of dimension
-divisible by four, a point, and finite products of these.
+A `ManifoldModel` is a name and the total Pontryagin class of the tangent
+bundle.  The class's truncated cohomology ring determines the fundamental
+monomial, against which characteristic numbers are read off, and with it the
+dimension.  The catalog covers quaternionic projective spaces, spheres of
+dimension divisible by four, a point, and finite products of these.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from math import comb, prod
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .record import FrozenRecord
-from .ring import RingElement, RingPresentation, _size
+from .ring import RingElement, RingPresentation
+from .series import _size
 
 __all__ = [
     "ManifoldModel",
@@ -32,25 +33,38 @@ __all__ = [
 
 
 class ManifoldModel(FrozenRecord):
-    """Rational cohomology ring with a tangent class and a fundamental monomial.
+    """A named tangent class in a rational cohomology ring.
 
-    Models compare and hash by identity, not by value.
+    The ring is the tangent class's, and the fundamental monomial is the
+    product of each generator's highest surviving power; the ring must be
+    truncated exactly at that monomial's degree, the dimension.  Models
+    compare and hash by identity, not by value.
     """
 
-    __slots__ = ("name", "dimension", "presentation", "tangent_pontryagin", "fundamental")
+    __slots__ = ("name", "tangent_pontryagin")
 
-    def __init__(
-        self,
-        name: str,
-        dimension: int,
-        presentation: RingPresentation,
-        tangent_pontryagin: RingElement,
-        fundamental: tuple[int, ...],
-    ) -> None:
-        super().__init__(name, dimension, presentation, tangent_pontryagin, fundamental)
+    def __init__(self, name: str, tangent_pontryagin: RingElement) -> None:
+        super().__init__(name, tangent_pontryagin)
+        if self.presentation.top_degree != self.dimension:
+            raise ValueError(
+                f"ring truncated at degree {self.presentation.top_degree} does not match "
+                f"the degree {self.dimension} of its fundamental monomial"
+            )
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @property
+    def presentation(self) -> RingPresentation:
+        return self.tangent_pontryagin.presentation
+
+    @property
+    def fundamental(self) -> tuple[int, ...]:
+        return tuple(p - 1 for p in self.presentation.nilpotencies)
+
+    @property
+    def dimension(self) -> int:
+        return self.presentation.monomial_degree(self.fundamental)
 
     def integrate(self, element: RingElement) -> Fraction:
         """Pair a class against the fundamental monomial."""
@@ -69,8 +83,7 @@ def hp_model(n: int) -> ManifoldModel:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
     pres = RingPresentation((("z", 4, n + 1),), 4 * n)
     p = [sum(comb(2 * n + 2, j) * (-4) ** (k - j) for j in range(k + 1)) for k in range(n + 1)]
-    element = pres.element({(k,): p_k for k, p_k in enumerate(p)})
-    return ManifoldModel(f"HP{n}", 4 * n, pres, element, (n,))
+    return ManifoldModel(f"HP{n}", pres.element({(k,): p_k for k, p_k in enumerate(p)}))
 
 
 def sphere_model(k: int = 4) -> ManifoldModel:
@@ -81,14 +94,12 @@ def sphere_model(k: int = 4) -> ManifoldModel:
     k = _size(k, "sphere dimension k")
     if k < 4 or k % 4:
         raise ValueError(f"sphere dimension must be a positive multiple of 4, got {k}")
-    pres = RingPresentation((("u", k, 2),), k)
-    return ManifoldModel(f"S{k}", k, pres, pres.one(), (1,))
+    return ManifoldModel(f"S{k}", RingPresentation((("u", k, 2),), k).one())
 
 
 def point_model() -> ManifoldModel:
     """A point: the trivial ring, tangent class 1, empty fundamental monomial."""
-    pres = RingPresentation((), 0)
-    return ManifoldModel("pt", 0, pres, pres.one(), ())
+    return ManifoldModel("pt", RingPresentation((), 0).one())
 
 
 def _product_names(first: tuple[str, ...], second: tuple[str, ...]) -> list[str]:
@@ -114,23 +125,16 @@ def product_model(first: ManifoldModel, second: ManifoldModel) -> ManifoldModel:
     HP^2 x HP^2 with generators z1 and z2; other names are kept.  A product
     monomial's exponent vector is the concatenation of the factors' vectors.
     """
-    names = _product_names(first.presentation.names, second.presentation.names)
-    specs = first.presentation.generators + second.presentation.generators
-    gens = [(name, degree, nilpotency) for name, (_, degree, nilpotency) in zip(names, specs)]
-    top = first.presentation.top_degree + second.presentation.top_degree
-    pres = RingPresentation(gens, top)
+    a, b = first.presentation, second.presentation
+    names = _product_names(a.names, b.names)
+    gens = zip(names, a.degrees + b.degrees, a.nilpotencies + b.nilpotencies)
+    pres = RingPresentation(gens, first.dimension + second.dimension)
     tangent = pres.element({
         e1 + e2: c1 * c2
         for e1, c1 in first.tangent_pontryagin.terms.items()
         for e2, c2 in second.tangent_pontryagin.terms.items()
     })
-    return ManifoldModel(
-        f"{first.name} x {second.name}",
-        first.dimension + second.dimension,
-        pres,
-        tangent,
-        first.fundamental + second.fundamental,
-    )
+    return ManifoldModel(f"{first.name} x {second.name}", tangent)
 
 
 def _genus_integral(model: ManifoldModel, genus_table, what: str) -> Fraction:
@@ -138,7 +142,7 @@ def _genus_integral(model: ManifoldModel, genus_table, what: str) -> Fraction:
     dimensions not divisible by 4 are rejected rather than reported as 0."""
     if model.dimension % 4:
         raise ValueError(f"{what} needs dimension divisible by 4, got {model.dimension}")
-    table = genus_table(model.presentation.top_degree // 4)
+    table = genus_table(model.dimension // 4)
     return model.integrate(evaluate_genus(table, model.tangent_pontryagin))
 
 

@@ -22,7 +22,14 @@ from math import factorial, lcm
 
 from .formatting import signed_sum
 from .ring import RingElement, RingPresentation
-from .series import Series, ahat_genus_series, exp_parts, l_genus_series, log_derivative_parts
+from .series import (
+    Series,
+    _size,
+    ahat_genus_series,
+    exp_parts,
+    l_genus_series,
+    log_derivative_parts,
+)
 
 __all__ = [
     "GenusTable",
@@ -135,29 +142,23 @@ class GenusTable:
         return f"<GenusTable of weight {self.max_weight}, log coefficients {log}>"
 
 
-def genus_table(q: Series, max_weight: int) -> GenusTable:
-    """Genus table of q, which needs constant term 1 and order >= max_weight."""
-    if max_weight < 0:
-        raise ValueError(f"max weight must be >= 0, got {max_weight}")
-    if q.coefficients[0] != 1:
+def genus_table(q: Series) -> GenusTable:
+    """Genus table of q up to weight q.order; q needs constant term 1."""
+    if q[0] != 1:
         raise ValueError("characteristic series must have constant term 1")
-    if q.order < max_weight:
-        raise ValueError(
-            f"series order {q.order} is too small for weight {max_weight}"
-        )
-    return GenusTable(q.truncate(max_weight))
+    return GenusTable(q)
 
 
 @lru_cache(maxsize=None)
 def l_genus_table(max_weight: int) -> GenusTable:
     """Cached genus table of the signature genus."""
-    return genus_table(l_genus_series(max_weight), max_weight)
+    return genus_table(l_genus_series(max_weight))
 
 
 @lru_cache(maxsize=None)
 def ahat_genus_table(max_weight: int) -> GenusTable:
     """Cached genus table of the A-hat genus."""
-    return genus_table(ahat_genus_series(max_weight), max_weight)
+    return genus_table(ahat_genus_series(max_weight))
 
 
 def _unit_class_parts(total_class: RingElement, max_weight: int) -> list[RingElement]:
@@ -204,11 +205,12 @@ def pont_character(total_class: RingElement, max_weight: int) -> list[RingElemen
     where h_k are the log-derivative parts of p.  Components above the top
     degree of the ring are zero.
     """
+    max_weight = _size(max_weight, "max weight")
+    if max_weight < 1:
+        raise ValueError(f"max weight must be >= 1, got {max_weight}")
     pres = total_class.presentation
     weight = min(max_weight, pres.top_degree // 4)
     parts = _unit_class_parts(total_class, weight)
-    if max_weight < 1:
-        raise ValueError(f"max weight must be >= 1, got {max_weight}")
     graded = log_derivative_parts(parts)
     out = [graded[k] * Fraction(2 * (-1) ** (k + 1), factorial(2 * k)) for k in range(1, weight + 1)]
     return out + [pres.zero()] * (max_weight - weight)

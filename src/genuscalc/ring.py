@@ -17,7 +17,8 @@ from math import gcd
 from operator import add, ge, index, mul
 
 from .formatting import signed_sum
-from .series import inverse_parts
+from .record import FrozenRecord
+from .series import _size, inverse_parts
 
 __all__ = ["RingElement", "RingPresentation"]
 
@@ -29,28 +30,20 @@ def _non_integer_exponent(exponents) -> ValueError:
     return ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer")
 
 
-def _size(value, what: str) -> int:
-    """A degree, nilpotency or top degree as an int, refused rather than
-    truncated when it is not an integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-class RingPresentation:
+class RingPresentation(FrozenRecord):
     """Generators-and-truncation presentation Q[g_1, ..., g_r]/(g_i^{n_i}, deg > top)."""
 
-    __slots__ = ("_gens", "_top")
+    __slots__ = ("names", "degrees", "nilpotencies", "top_degree")
 
     def __init__(self, generators: Iterable[tuple[str, int, int]], top_degree: int):
-        gens: list[tuple[str, int, int]] = []
-        seen: set[str] = set()
+        names: list[str] = []
+        degrees: list[int] = []
+        nilpotencies: list[int] = []
         for name, degree, nilpotency in generators:
             name = str(name)
             degree = _size(degree, f"degree of generator {name!r}")
             nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}")
-            if not name or name in seen:
+            if not name or name in names:
                 raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
             if degree <= 0 or degree % 2:
                 raise ValueError(
@@ -58,40 +51,24 @@ class RingPresentation:
                 )
             if nilpotency < 1:
                 raise ValueError(f"generator {name!r} needs nilpotency >= 1, got {nilpotency}")
-            seen.add(name)
-            gens.append((name, degree, nilpotency))
+            names.append(name)
+            degrees.append(degree)
+            nilpotencies.append(nilpotency)
         top = _size(top_degree, "top degree")
         if top < 0:
             raise ValueError(f"top degree must be >= 0, got {top}")
-        self._gens = tuple(gens)
-        self._top = top
+        super().__init__(tuple(names), tuple(degrees), tuple(nilpotencies), top)
 
     @property
     def generators(self) -> tuple[tuple[str, int, int], ...]:
-        return self._gens
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g[0] for g in self._gens)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(g[1] for g in self._gens)
-
-    @property
-    def nilpotencies(self) -> tuple[int, ...]:
-        return tuple(g[2] for g in self._gens)
-
-    @property
-    def top_degree(self) -> int:
-        return self._top
+        return tuple(zip(self.names, self.degrees, self.nilpotencies))
 
     @property
     def ngens(self) -> int:
-        return len(self._gens)
+        return len(self.names)
 
     def monomial_degree(self, exponents: tuple[int, ...]) -> int:
-        return sum(e * g[1] for e, g in zip(exponents, self._gens))
+        return sum(map(mul, exponents, self.degrees))
 
     def zero(self) -> RingElement:
         return RingElement(self, {})
@@ -100,29 +77,20 @@ class RingPresentation:
         return RingElement(self, {(0,) * self.ngens: Fraction(1)})
 
     def gen(self, name: str) -> RingElement:
-        for i, (gname, _, _) in enumerate(self._gens):
-            if gname == name:
-                exps = [0] * self.ngens
-                exps[i] = 1
-                return RingElement(self, {tuple(exps): Fraction(1)})
-        raise ValueError(f"no generator named {name!r}")
+        if name not in self.names:
+            raise ValueError(f"no generator named {name!r}")
+        exps = tuple(int(g == name) for g in self.names)
+        return RingElement(self, {exps: Fraction(1)})
 
     def element(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> RingElement:
         return RingElement(self, terms)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingPresentation)
-            and self._gens == other._gens
-            and self._top == other._top
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._gens, self._top))
-
     def __repr__(self) -> str:
-        gens = ", ".join(f"{n}(deg {d}, nil {p})" for n, d, p in self._gens)
-        return f"RingPresentation([{gens}], top_degree={self._top})"
+        gens = ", ".join(f"{n}(deg {d}, nil {p})" for n, d, p in self.generators)
+        return f"RingPresentation([{gens}], top_degree={self.top_degree})"
+
+    def __reduce__(self):
+        return type(self), (self.generators, self.top_degree)
 
 
 class RingElement:

@@ -13,8 +13,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
+from operator import index
+
+from .record import FrozenRecord
 
 __all__ = ["Series", "ahat_genus_series", "l_genus_series"]
+
+
+def _size(value, what: str) -> int:
+    """A size as an int, refused rather than truncated when it is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
 
 # The recurrences below act on the homogeneous parts a_0..a_N of an element
 # of a truncated graded algebra (series coefficients, or ring classes by
@@ -55,13 +67,13 @@ def exp_parts(graded: Sequence, one) -> list:
     return out
 
 
-class Series:
+class Series(FrozenRecord):
     """Power series truncated at a fixed order, with Fraction coefficients.
 
     A product is truncated to the smaller order of its two factors.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients, order: int | None = None):
         coeffs = [Fraction(c) for c in coefficients]
@@ -69,38 +81,25 @@ class Series:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
+        order = _size(order, "series order")
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         coeffs = coeffs[: order + 1]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        self._coeffs = tuple(coeffs)
+        super().__init__(tuple(coeffs))
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return len(self.coefficients) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        return self._coeffs[k]
-
-    def truncate(self, order: int) -> Series:
-        if order > self.order:
-            raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        return Series(self._coeffs[: order + 1], order)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Series) and self._coeffs == other._coeffs
-
-    __hash__ = None  # type: ignore[assignment]
+        return self.coefficients[k]
 
     def __mul__(self, other: Series) -> Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coefficients, other.coefficients
         return Series([a[0] * b[k] + _convolve(a, b, k) for k in range(n + 1)], n)
 
     def __pow__(self, exponent: int) -> Series:
@@ -119,27 +118,27 @@ class Series:
 
     def inverse(self) -> Series:
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self._coeffs[0]
+        c0 = self.coefficients[0]
         if not c0:
             raise ValueError("series with zero constant term is not invertible")
-        return Series(inverse_parts(self._coeffs, c0), self.order)
+        return Series(inverse_parts(self.coefficients, c0), self.order)
 
     def exp(self) -> Series:
         """Exponential of a series with zero constant term."""
-        if self._coeffs[0]:
+        if self.coefficients[0]:
             raise ValueError("exp requires a zero constant term")
-        graded = [k * c for k, c in enumerate(self._coeffs)]
+        graded = [k * c for k, c in enumerate(self.coefficients)]
         return Series(exp_parts(graded, Fraction(1)), self.order)
 
     def log(self) -> Series:
         """Logarithm of a series with constant term 1."""
-        if self._coeffs[0] != 1:
+        if self.coefficients[0] != 1:
             raise ValueError("log requires constant term 1")
-        graded = log_derivative_parts(self._coeffs)
+        graded = log_derivative_parts(self.coefficients)
         return Series([0] + [h / k for k, h in enumerate(graded[1:], 1)], self.order)
 
     def __repr__(self) -> str:
-        return f"Series([{', '.join(str(c) for c in self._coeffs)}])"
+        return f"Series([{', '.join(str(c) for c in self.coefficients)}])"
 
 
 def l_genus_series(order: int) -> Series:
@@ -148,6 +147,7 @@ def l_genus_series(order: int) -> Series:
     Computed as the exact quotient of cosh(t) by sinh(t)/t with t^2 = z,
     i.e. [sum z^k/(2k)!] / [sum z^k/(2k+1)!].
     """
+    order = _size(order, "series order")
     num = Series([Fraction(1, factorial(2 * k)) for k in range(order + 1)], order)
     den = Series([Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)], order)
     return num * den.inverse()
@@ -159,6 +159,7 @@ def ahat_genus_series(order: int) -> Series:
     Computed as the exact inverse of sinh(t)/t with t = sqrt(z)/2,
     i.e. the inverse of sum z^k/(4^k (2k+1)!).
     """
+    order = _size(order, "series order")
     den = Series(
         [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(order + 1)], order
     )

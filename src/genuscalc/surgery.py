@@ -18,7 +18,8 @@ from math import factorial, gcd, lcm
 from .manifolds import ManifoldModel, hp_model, product_model, signature, sphere_model
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .record import FrozenRecord
-from .ring import RingElement, _size
+from .ring import RingElement
+from .series import _size
 
 __all__ = [
     "BundleSolution",
@@ -80,8 +81,6 @@ class BundleSolution(FrozenRecord):
 @lru_cache(maxsize=None)
 def ambient_model(n: int) -> ManifoldModel:
     """The base manifold S^4 x HP^n with cohomology Q[u, z]/(u^2, z^{n+1})."""
-    if n < 1:
-        raise ValueError(f"projective dimension must be >= 1, got {n}")
     return product_model(sphere_model(4), hp_model(n))
 
 
@@ -143,8 +142,6 @@ def general_obstruction_coefficients(n: int) -> tuple[Fraction, Fraction]:
     """Coefficients (per A, per C) of 8 sigma at lambda = 1 in pair mode:
     8 sigma = lambda (coeff_A * A + coeff_C * C), read off the ring
     evaluation at the unit parameters."""
-    if n < 2:
-        raise ValueError(f"fibre projective dimension must be >= 2, got {n}")
     return (
         8 * surgery_obstruction(NormalInvariantParams(n, A=1)),
         8 * surgery_obstruction(NormalInvariantParams(n, C=1)),

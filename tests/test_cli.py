@@ -109,6 +109,43 @@ def test_weight_sixteen_genus_output_is_pinned(capsys, series, fmt):
     assert _genus_sha256(capsys, 16, series, fmt) == _WEIGHT_SIXTEEN_SHA256[series, fmt]
 
 
+_MANIFOLD_DESCRIPTORS = (
+    [f"hp:{n}" for n in range(1, 17)]
+    + [f"s:{k}" for k in range(4, 65, 4)]
+    + [f"product:s:4,hp:{n}" for n in range(1, 9)]
+    + ["product:hp:2,hp:2", "product:hp:1,hp:1,s:4,s:8", "product:hp:3,hp:5"]
+)
+_PARAMS = ["--A", "1/3", "--C=-5/7"]
+_SWEEPS = {
+    "manifold": [["manifold", "--descriptor", d] for d in _MANIFOLD_DESCRIPTORS],
+    "surgery": [["surgery", "--n", str(n), *_PARAMS] for n in range(2, 13)],
+    "pontryagin": [["pontryagin", "--n", str(n), *_PARAMS] for n in range(2, 13)],
+    "solve-bundle": [["solve-bundle", "--n", str(n)] for n in range(2, 13)],
+}
+
+# sha256 over (status, stdout, stderr) of each argv of a sweep, recorded while
+# a manifold model still stored its dimension, ring and fundamental monomial
+# beside its tangent class; odd n pins solve-bundle's one-line refusal
+_SWEEP_SHA256 = {
+    ("manifold", "text"): "9962a9affdd1f2dc9596ea967d81d99134493d7355aaf38724951a049d8980a9",
+    ("manifold", "json"): "a6b2b8ecbb1df3e9da9483f1cf2e2aca8a892382187e9a9ae7a40361cc72d2d8",
+    ("surgery", "text"): "a9543b8bf6d08bb35f725682da6cbdeb48bf405c014dda8e213f5b64bcd3166c",
+    ("surgery", "json"): "1c9d1d8989adf080a75f3ffc9a442078aa72ad6596ddd23657d5c22d6116ced5",
+    ("pontryagin", "text"): "c949955d08a76e2de8f45f817b5c2f64f770708afc7412ffcd2ed535e3d2a687",
+    ("pontryagin", "json"): "be04513e431cbd705ee602253d52d49c8edbdf68fb2dfc56bcc53b48305a7e98",
+    ("solve-bundle", "text"): "a519dc8d715358bf23f257e0f7f2ec1df84d29277491fd4d744d2ffc5d313573",
+    ("solve-bundle", "json"): "6f469d12ad5ba94a047a21d57e89b628c5f163ca8e83a2f50c940de8c526acc7",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_SWEEP_SHA256))
+def test_sweep_output_is_pinned(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for argv in _SWEEPS[command]:
+        digest.update(repr(_invoke(capsys, [*argv, "--format", fmt])).encode())
+    assert digest.hexdigest() == _SWEEP_SHA256[command, fmt]
+
+
 def test_manifold_text_output(capsys):
     status, out, err = _invoke(capsys, ["manifold", "--descriptor", "hp:2"])
     assert status == 0

@@ -82,7 +82,7 @@ def pontryagin_pairs(draw):
     q = Series([1] + [draw(rationals) for _ in range(weight)], weight)
     a = _element(draw, pres, 1, step=4)
     b = _element(draw, pres, 1, step=4)
-    return genus_table(q, weight), a, b
+    return genus_table(q), a, b
 
 
 # Degrees 4 and 6 without 2: stepping by the smallest degree instead of the

@@ -190,7 +190,7 @@ def test_integrate_reads_the_fundamental_coefficient():
 
 def test_signature_rejects_dimensions_not_divisible_by_four():
     pres = RingPresentation((("w", 6, 2),), 6)
-    odd_ball = ManifoldModel("W6", 6, pres, pres.one(), (1,))
+    odd_ball = ManifoldModel("W6", pres.one())
     with pytest.raises(ValueError):
         signature(odd_ball)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from genuscalc import (
     evaluate_genus,
     factored_str,
     genus_table,
+    hp_model,
     l_genus_series,
     l_genus_table,
     partition_terms,
@@ -136,7 +137,7 @@ def test_signature_leading_coefficients_match_bernoulli_closed_form():
 
 
 def test_trivial_series_gives_trivial_sequence():
-    table = genus_table(Series([1], 3), 3)
+    table = genus_table(Series([1], 3))
     for i in range(1, 4):
         assert not table.poly(i)
     pres = RingPresentation((("z", 4, 3),), 8)
@@ -148,7 +149,7 @@ def test_genus_table_matches_exp_by_powers_oracle():
     rng = random.Random(2718)
     random_series = Series([1] + [random_fraction(rng) for _ in range(8)], 8)
     for q in (l_genus_series(8), ahat_genus_series(8), random_series):
-        table = genus_table(q, 8)
+        table = genus_table(q)
         expected = genus_polys_by_powers(q.coefficients, 8)
         assert [partition_terms(table.poly(i)) for i in range(1, 9)] == expected, repr(q)
 
@@ -166,9 +167,9 @@ def test_evaluate_genus_matches_partition_substitution_oracle():
     random_series = Series([1] + [random_fraction(rng) for _ in range(8)], 8)
     for q in (l_genus_series(8), ahat_genus_series(8), random_series):
         polys = genus_polys_by_powers(q.coefficients, 8)
+        table = genus_table(q)
         for n in range(1, 8):
             model = ambient_model(n)
-            table = genus_table(q, n + 1)
             classes = [model.tangent_pontryagin] + [
                 _random_total_class(rng, model.presentation) for _ in range(3)
             ]
@@ -177,7 +178,7 @@ def test_evaluate_genus_matches_partition_substitution_oracle():
 
 
 def test_weight_zero_table_is_empty():
-    table = genus_table(l_genus_series(0), 0)
+    table = genus_table(l_genus_series(0))
     assert table.max_weight == 0
     assert table.polys == ()
     assert l_genus_table(0).polys == ahat_genus_table(0).polys == ()
@@ -185,9 +186,23 @@ def test_weight_zero_table_is_empty():
 
 def test_genus_table_preconditions():
     with pytest.raises(ValueError):
-        genus_table(Series([2, 1], 3), 3)
-    with pytest.raises(ValueError):
-        genus_table(l_genus_series(2), 3)
+        genus_table(Series([2, 1], 3))
+
+
+@pytest.mark.parametrize(
+    "build, what, bad",
+    [
+        (lambda: l_genus_table(2.5), "series order", "2.5"),
+        # a cached table of weight 2 must not answer for 2.0
+        (lambda: (l_genus_table(2), l_genus_table(2.0)), "series order", "2.0"),
+        (lambda: ahat_genus_series(3.0), "series order", "3.0"),
+        (lambda: Series([1], 2.5), "series order", "2.5"),
+        (lambda: pont_character(hp_model(2).tangent_pontryagin, 2.0), "max weight", "2.0"),
+    ],
+)
+def test_non_integer_weights_are_rejected_not_truncated(build, what, bad):
+    with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad}"):
+        build()
 
 
 def test_evaluate_genus_on_quaternionic_plane_classes():

@@ -12,6 +12,7 @@ from genuscalc import (
     ManifoldModel,
     NormalInvariantParams,
     RingPresentation,
+    Series,
     hp_model,
     solve_bundle,
 )
@@ -96,16 +97,48 @@ def test_manifold_model_compares_by_identity():
     assert model == model and model != hp_model(2)
     assert hash(model) == object.__hash__(model)
     assert repr(model) == (
-        "ManifoldModel(name='HP2', dimension=8, "
-        "presentation=RingPresentation([z(deg 4, nil 3)], top_degree=8), "
-        "tangent_pontryagin=<RingElement 1 + 2*z + 7*z^2>, fundamental=(2,))"
+        "ManifoldModel(name='HP2', tangent_pontryagin=<RingElement 1 + 2*z + 7*z^2>)"
     )
     pres = RingPresentation((), 0)
-    point = ManifoldModel(
-        name="pt", dimension=0, presentation=pres, tangent_pontryagin=pres.one(), fundamental=()
-    )
+    point = ManifoldModel(name="pt", tangent_pontryagin=pres.one())
     assert (point.name, point.dimension, point.fundamental) == ("pt", 0, ())
+    assert point.presentation is pres
     assert point.integrate(pres.one()) == 1
+
+
+def test_manifold_model_derives_its_ring_dimension_and_fundamental_monomial():
+    model = ManifoldModel("W", RingPresentation([("u", 4, 2), ("z", 8, 3)], 20).one())
+    assert (model.dimension, model.fundamental) == (20, (1, 2))
+
+
+@pytest.mark.parametrize("top", [4, 12])
+def test_manifold_model_refuses_a_ring_not_truncated_at_its_fundamental_degree(top):
+    pres = RingPresentation([("z", 4, 3)], top)
+    with pytest.raises(ValueError, match=f"truncated at degree {top} does not match the degree 8"):
+        ManifoldModel("bad", pres.one())
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: RingPresentation([("u", 4, 2), ("z", 4, 3)], 12), "top_degree"),
+        (lambda: Series([1, "1/3", "-1/45"]), "coefficients"),
+    ],
+)
+def test_presentations_and_series_are_frozen_values(make, field):
+    value, same = make(), make()
+    _assert_frozen(value, field)
+    assert value == same and value is not same
+    assert hash(value) == hash(same)
+    assert len({value, same}) == 1
+
+
+def test_presentation_fields_are_its_generator_columns():
+    pres = RingPresentation([("u", 4, 2), ("z", 4, 3)], 12)
+    assert (pres.names, pres.degrees, pres.nilpotencies) == (("u", "z"), (4, 4), (2, 3))
+    assert pres.generators == (("u", 4, 2), ("z", 4, 3))
+    assert repr(pres) == "RingPresentation([u(deg 4, nil 2), z(deg 4, nil 3)], top_degree=12)"
+    assert pres != RingPresentation([("u", 4, 2), ("z", 4, 3)], 16)
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
@@ -117,3 +150,8 @@ def test_records_copy_and_pickle(clone):
     model = hp_model(2)
     twin = clone(model)
     assert twin is not model and twin.name == "HP2" and twin.fundamental == (2,)
+    assert twin.tangent_pontryagin == model.tangent_pontryagin
+    pres = RingPresentation([("u", 4, 2), ("z", 4, 3)], 12)
+    assert clone(pres) == pres
+    series = Series([1, "1/3", "-1/45"])
+    assert clone(series) == series

@@ -69,6 +69,8 @@ def test_ambient_model_is_the_product_ring():
     assert model.name == "S4 x HP2"
     assert model.presentation.names == ("u", "z")
     assert model.presentation.top_degree == 12
+    with pytest.raises(ValueError, match="projective dimension must be >= 1, got 0"):
+        ambient_model(0)
 
 
 def test_xi_total_class_frozen_n2():
@@ -196,7 +198,7 @@ def test_scale_factors_out():
 
 def test_general_obstruction_coefficients_frozen_n2():
     assert general_obstruction_coefficients(2) == (Fraction(-1, 3), Fraction(-496, 63))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fibre projective dimension must be >= 2, got 1"):
         general_obstruction_coefficients(1)
 
 
