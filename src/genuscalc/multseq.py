@@ -125,16 +125,19 @@ class GenusTable:
     def max_weight(self) -> int:
         return len(self._log) - 1
 
-    def poly(self, i: int) -> RingElement:
-        """K_i, 1-indexed."""
+    def _index(self, i) -> int:
+        i = _size(i, "index")
         if not 1 <= i <= self.max_weight:
             raise ValueError(f"index {i} outside 1..{self.max_weight}")
-        return self.polys[i - 1]
+        return i
+
+    def poly(self, i: int) -> RingElement:
+        """K_i, 1-indexed."""
+        return self.polys[self._index(i) - 1]
 
     def leading_coefficient(self, n: int) -> Fraction:
         """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is (-1)^{n+1} n c_n."""
-        if not 1 <= n <= self.max_weight:
-            raise ValueError(f"index {n} outside 1..{self.max_weight}")
+        n = self._index(n)
         return (-1) ** (n + 1) * n * self._log[n]
 
     def __repr__(self) -> str:

@@ -148,12 +148,18 @@ def general_obstruction_coefficients(n: int) -> tuple[Fraction, Fraction]:
     )
 
 
+def _pair_mode_n(n) -> int:
+    """n as an int, refused unless it is an even fibre dimension >= 2."""
+    n = _size(n, "fibre projective dimension n")
+    if n < 2 or n % 2:
+        raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
+    return n
+
+
 def general_a_hat_coefficient(n: int) -> Fraction:
     """Coefficient of C in the total-space A-hat genus at lambda = 1, even n,
     read off the ring evaluation at C = 1."""
-    if n < 2 or n % 2:
-        raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
-    return a_hat_total_space(NormalInvariantParams(n, C=1))
+    return a_hat_total_space(NormalInvariantParams(_pair_mode_n(n), C=1))
 
 
 def _primitive_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
@@ -183,10 +189,9 @@ def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     All sigma coefficients come from honest ring evaluations, not stored
     constants.
     """
+    n = _pair_mode_n(n)
     if require_section and n != 2:
         raise ValueError(f"a section can only be required when n = 2, got n = {n}")
-    if n < 2 or n % 2:
-        raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
     names = ("A", "B", "C") if n == 2 else ("A", "C")
 
     def params_of(vec) -> NormalInvariantParams:

@@ -198,6 +198,8 @@ def test_genus_table_preconditions():
         (lambda: ahat_genus_series(3.0), "series order", "3.0"),
         (lambda: Series([1], 2.5), "series order", "2.5"),
         (lambda: pont_character(hp_model(2).tangent_pontryagin, 2.0), "max weight", "2.0"),
+        (lambda: l_genus_table(3).poly(2.0), "index", "2.0"),
+        (lambda: l_genus_table(3).leading_coefficient(2.0), "index", "2.0"),
     ],
 )
 def test_non_integer_weights_are_rejected_not_truncated(build, what, bad):

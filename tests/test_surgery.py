@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 from genuscalc import (
+    ManifoldModel,
     NormalInvariantParams,
+    a_hat_genus,
     a_hat_total_space,
     ambient_model,
     general_a_hat_coefficient,
     general_obstruction_coefficients,
     p1_cubed_total_space,
     pont_classes_from_character,
+    signature,
     solve_bundle,
     surgery_obstruction,
     xi_total_class,
@@ -48,9 +51,13 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
-def test_params_refuse_a_non_integer_n(n):
+@pytest.mark.parametrize(
+    "entry",
+    [NormalInvariantParams, solve_bundle, general_a_hat_coefficient, general_obstruction_coefficients],
+)
+def test_params_refuse_a_non_integer_n(entry, n):
     with pytest.raises(ValueError, match=r"dimension n must be an integer, got "):
-        NormalInvariantParams(n, A=1)
+        entry(n)
 
 
 def test_params_convert_n_to_an_int():
@@ -60,6 +67,8 @@ def test_params_convert_n_to_an_int():
 
     params = NormalInvariantParams(Four(), C=1)
     assert type(params.n) is int and params.n == 4
+    assert general_a_hat_coefficient(Four()) == general_a_hat_coefficient(4)
+    assert solve_bundle(Four()) == solve_bundle(4)
     with pytest.raises(ValueError, match="must be >= 2, got 1"):
         NormalInvariantParams(True, A=1)
 
@@ -280,3 +289,39 @@ def test_solve_bundle_rejects_unsupported_modes():
         solve_bundle(1)
     with pytest.raises(ValueError):
         solve_bundle(4, require_section=True)
+
+
+def _linear_bundle_class(n, k, sign=1):
+    """p(E) of E = HP(V) for a quaternionic (n+1)-plane bundle V over S^4 with
+    e_1 = k u (Borel-Hirzebruch), written in S^4 x HP^n's ring through
+    Z = z + k u / (n+1), which satisfies Z^{n+1} = k u Z^n there; sign = -1
+    flips the u term as a control."""
+    pres = ambient_model(n).presentation
+    one, u = pres.one(), pres.gen("u")
+    Z = pres.gen("z") + Fraction(k, n + 1) * u
+    twisted = sign * 2 * k * (one - Z) * (one + Z) ** (2 * n) * u
+    return ((one + Z) ** (2 * n + 2) + twisted) * (one + 4 * Z).inverse()
+
+
+def test_linear_bundles_have_vanishing_signature_and_a_hat_genus():
+    # sig(E) = sig(S^4) sig(HP^n) (Chern-Hirzebruch-Serre); E is spin with
+    # positive scalar curvature, so A-hat(E) = 0 (Lichnerowicz)
+    for n in range(1, 13):
+        for k in (-2, 1, 3):
+            total_space = ManifoldModel("E", _linear_bundle_class(n, k))
+            assert (signature(total_space), a_hat_genus(total_space)) == (0, 0), (n, k)
+    flipped = ManifoldModel("E", _linear_bundle_class(1, 1, sign=-1))
+    assert (signature(flipped), a_hat_genus(flipped)) == (Fraction(28, 15), Fraction(-1, 120))
+
+
+@pytest.mark.parametrize("k", [1, -3])
+def test_linear_bundles_at_n2_lie_in_the_kernel_with_vanishing_a_hat(k):
+    tangent = _linear_bundle_class(2, k)
+    params = NormalInvariantParams(2, A=Fraction(-8 * k, 3), B=Fraction(-4 * k, 9), C=Fraction(7 * k, 90))
+    assert ambient_model(2).tangent_pontryagin * tangent.inverse() == xi_total_class(params)
+    assert surgery_obstruction(params) == 0
+    assert a_hat_total_space(params) == 0
+    assert p1_cubed_total_space(params) == 32 * k
+    # so the kernel's representative with A-hat != 0 is not a linear bundle
+    solution = solve_bundle(2)
+    assert solution.kernel_basis[0] == (28, 15, 0) and solution.a_hat == Fraction(1, 192)
