@@ -66,61 +66,51 @@ def _nonneg_int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{len(text)}-digit integer is too large") from None
 
 
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+def _check_cap(flag: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise CommandError(f"argument {flag}: at most {cap} is supported, got {value}")
+    return value
 
 
-def _add_params_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=_nonneg_int_arg, required=True, help="fibre projective dimension")
-    parser.add_argument("--A", type=_rational_arg, default=parse_rational("0"), help="parameter A (num/den)")
-    parser.add_argument("--B", type=_rational_arg, default=parse_rational("0"), help="parameter B (num/den), n = 2 only")
-    parser.add_argument("--C", type=_rational_arg, default=parse_rational("0"), help="parameter C (num/den)")
-    parser.add_argument("--lambda", dest="lam", type=_rational_arg, default=parse_rational("1"), help="scale lambda (num/den), nonzero")
+def _fibre_n(args: argparse.Namespace) -> int:
+    return _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
 
 
 def _params_from(args: argparse.Namespace) -> NormalInvariantParams:
-    _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
-    return NormalInvariantParams(args.n, A=args.A, B=args.B, C=args.C, lam=args.lam)
+    return NormalInvariantParams(_fibre_n(args), A=args.A, B=args.B, C=args.C, lam=args.lam)
 
 
-def _params_payload(params: NormalInvariantParams) -> dict:
-    return {
-        "A": format_rational(params.A),
-        "B": format_rational(params.B),
-        "C": format_rational(params.C),
-        "lambda": format_rational(params.lam),
-    }
+def _params_payload(params: NormalInvariantParams, **values) -> dict:
+    named = {"A": params.A, "B": params.B, "C": params.C, "lambda": params.lam}
+    return {"n": params.n, "params": {k: format_rational(v) for k, v in named.items()}, **values}
 
 
-def _params_lines(params: NormalInvariantParams) -> list[str]:
-    return [f"n: {params.n}"] + [f"{k}: {v}" for k, v in _params_payload(params).items()]
-
-
-def _check_cap(flag: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise CommandError(f"argument {flag}: at most {cap} is supported, got {value}")
+def _lines(payload: dict) -> list[str]:
+    """Text lines ``key: value`` of a payload; a nested dict's fields go inline
+    and a None value has no line."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            lines.extend(_lines(value))
+        elif value is not None:
+            lines.append(f"{key}: {value}")
+    return lines
 
 
 def _cmd_coeff(args: argparse.Namespace):
     _check_cap("--weight", args.weight, COEFF_MAX_WEIGHT)
-    series = _SERIES[args.series](args.weight)
-    values = [format_rational(c) for c in series.coefficients]
-    lines = [f"z^{k}: {v}" for k, v in enumerate(values)]
+    values = [format_rational(c) for c in _SERIES[args.series](args.weight).coefficients]
     payload = {"series": args.series, "weight": args.weight, "coefficients": values}
-    return lines, payload
+    return [f"z^{k}: {v}" for k, v in enumerate(values)], payload
 
 
 def _cmd_genus(args: argparse.Namespace):
     _check_cap("--weight", args.weight, GENUS_MAX_WEIGHT)
     table = _TABLES[args.series](args.weight)
-    lines = []
     polys = []
     for i in range(1, args.weight + 1):
         poly = table.poly(i)
         text = factored_str(poly)
-        lines.append(f"K_{i} = {text}")
         terms = [
             {"partition": list(part), "coefficient": format_rational(coeff)}
             for part, coeff in sorted(
@@ -129,7 +119,7 @@ def _cmd_genus(args: argparse.Namespace):
         ]
         polys.append({"weight": i, "text": text, "terms": terms})
     payload = {"series": args.series, "weight": args.weight, "polys": polys}
-    return lines, payload
+    return [f"K_{p['weight']} = {p['text']}" for p in polys], payload
 
 
 def _cmd_manifold(args: argparse.Namespace):
@@ -144,18 +134,15 @@ def _cmd_manifold(args: argparse.Namespace):
             raise CommandError(f"duplicate report {r!r}")
     if not wanted:
         raise CommandError("empty report list")
-    lines = [f"manifold: {model.name}", f"dimension: {model.dimension}"]
     payload: dict = {"manifold": model.name, "dimension": model.dimension}
     for r in wanted:
         if r == "pontryagin":
-            value = str(model.tangent_pontryagin)
+            payload[r] = str(model.tangent_pontryagin)
         elif r == "signature":
-            value = format_rational(signature(model))
+            payload[r] = format_rational(signature(model))
         else:
-            value = format_rational(a_hat_genus(model))
-        lines.append(f"{r}: {value}")
-        payload[r] = value
-    return lines, payload
+            payload[r] = format_rational(a_hat_genus(model))
+    return _lines(payload), payload
 
 
 def _cmd_pontryagin(args: argparse.Namespace):
@@ -163,89 +150,68 @@ def _cmd_pontryagin(args: argparse.Namespace):
     total = xi_total_class(params)
     character = pont_character(total, params.n + 1)
     classes = [str(total.homogeneous_part(4 * i)) for i in range(1, params.n + 2)]
-    ph = str(sum(character, total.presentation.zero()))
-    lines = _params_lines(params)
-    lines.append(f"ph: {ph}")
-    lines.append(f"p: {total}")
+    payload = _params_payload(params, ph=str(sum(character, total.presentation.zero())))
+    lines = _lines(payload) + [f"p: {total}"]
     lines.extend(f"p_{i}: {text}" for i, text in enumerate(classes, start=1))
-    payload = {
-        "n": params.n,
-        "params": _params_payload(params),
-        "ph": ph,
-        "total": str(total),
-        "classes": classes,
-    }
-    return lines, payload
+    return lines, {**payload, "total": str(total), "classes": classes}
 
 
-def _invariant_output(params: NormalInvariantParams, sigma, a_hat, p1_cubed):
-    """Lines and payload shared by `surgery` and `solve-bundle`; p1_cubed is
-    None when n != 2 and then has no text line."""
+def _invariant_payload(params: NormalInvariantParams, sigma, a_hat, p1_cubed) -> dict:
+    """Payload shared by `surgery` and `solve-bundle`; p1_cubed is None when n != 2."""
     values = {"sigma": sigma, "a_hat": a_hat, "p1_cubed": p1_cubed}
-    shown = {k: None if v is None else format_rational(v) for k, v in values.items()}
-    lines = _params_lines(params) + [f"{k}: {v}" for k, v in shown.items() if v is not None]
-    return lines, {"n": params.n, "params": _params_payload(params), **shown}
+    return _params_payload(params, **{k: None if v is None else format_rational(v) for k, v in values.items()})
 
 
 def _cmd_surgery(args: argparse.Namespace):
     params = _params_from(args)
     p1_cubed = p1_cubed_total_space(params) if params.n == 2 else None
-    return _invariant_output(
-        params, surgery_obstruction(params), a_hat_total_space(params), p1_cubed
-    )
+    payload = _invariant_payload(params, surgery_obstruction(params), a_hat_total_space(params), p1_cubed)
+    return _lines(payload), payload
 
 
 def _cmd_solve_bundle(args: argparse.Namespace):
-    _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
-    solution = solve_bundle(args.n, require_section=args.require_section)
-    lines, payload = _invariant_output(
-        solution.params, solution.sigma, solution.a_hat, solution.p1_cubed
-    )
+    solution = solve_bundle(_fibre_n(args), require_section=args.require_section)
+    payload = _invariant_payload(solution.params, solution.sigma, solution.a_hat, solution.p1_cubed)
     basis = [[format_rational(c) for c in vec] for vec in solution.kernel_basis]
-    payload["kernel_basis"] = basis
-    lines.append("kernel_basis: " + "; ".join("[" + ", ".join(vec) + "]" for vec in basis))
-    return lines, payload
+    lines = _lines(payload) + ["kernel_basis: " + "; ".join("[" + ", ".join(vec) + "]" for vec in basis)]
+    return lines, {**payload, "kernel_basis": basis}
+
+
+# Each flag's argparse keywords; a string default goes through the flag's type.
+_FLAGS = {
+    "--series": {"choices": sorted(_SERIES), "required": True},
+    "--weight": {"type": _nonneg_int_arg, "required": True},
+    "--descriptor": {"required": True, "help": "hp:<n>, s:<k>, or product:a,b"},
+    "--report": {"default": ",".join(_REPORTS), "help": "comma-separated subset of: " + ", ".join(_REPORTS)},
+    "--n": {"type": _nonneg_int_arg, "required": True, "help": "fibre projective dimension"},
+    "--A": {"type": _rational_arg, "default": "0", "help": "parameter A (num/den)"},
+    "--B": {"type": _rational_arg, "default": "0", "help": "parameter B (num/den), n = 2 only"},
+    "--C": {"type": _rational_arg, "default": "0", "help": "parameter C (num/den)"},
+    "--lambda": {"dest": "lam", "type": _rational_arg, "default": "1", "help": "scale lambda (num/den), nonzero"},
+    "--require-section": {"action": "store_true", "help": "pin A = 0 (n = 2 only)"},
+    "--format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
+}
+
+# (name, help, handler, flags); every subcommand also takes --format
+_COMMANDS = (
+    ("coeff", "characteristic series coefficients", _cmd_coeff, ("--series", "--weight")),
+    ("genus", "genus polynomials K_1..K_N", _cmd_genus, ("--series", "--weight")),
+    ("manifold", "tangent class and genera of a catalog manifold", _cmd_manifold, ("--descriptor", "--report")),
+    ("pontryagin", "bundle classes from character parameters", _cmd_pontryagin, ("--n", *_RATIONAL_FLAGS)),
+    ("surgery", "surgery obstruction and A-hat genus of the total space", _cmd_surgery, ("--n", *_RATIONAL_FLAGS)),
+    ("solve-bundle", "parameters with sigma = 0 and nonzero A-hat genus", _cmd_solve_bundle, ("--n", "--require-section")),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="genuscalc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"genuscalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    coeff = sub.add_parser("coeff", help="characteristic series coefficients")
-    coeff.add_argument("--series", choices=sorted(_SERIES), required=True)
-    coeff.add_argument("--weight", type=_nonneg_int_arg, required=True)
-    _add_format_flag(coeff)
-    coeff.set_defaults(handler=_cmd_coeff)
-
-    genus = sub.add_parser("genus", help="genus polynomials K_1..K_N")
-    genus.add_argument("--series", choices=sorted(_SERIES), required=True)
-    genus.add_argument("--weight", type=_nonneg_int_arg, required=True)
-    _add_format_flag(genus)
-    genus.set_defaults(handler=_cmd_genus)
-
-    manifold = sub.add_parser("manifold", help="tangent class and genera of a catalog manifold")
-    manifold.add_argument("--descriptor", required=True, help="hp:<n>, s:<k>, or product:a,b")
-    manifold.add_argument("--report", default=",".join(_REPORTS), help="comma-separated subset of: " + ", ".join(_REPORTS))
-    _add_format_flag(manifold)
-    manifold.set_defaults(handler=_cmd_manifold)
-
-    pont = sub.add_parser("pontryagin", help="bundle classes from character parameters")
-    _add_params_flags(pont)
-    _add_format_flag(pont)
-    pont.set_defaults(handler=_cmd_pontryagin)
-
-    surgery = sub.add_parser("surgery", help="surgery obstruction and A-hat genus of the total space")
-    _add_params_flags(surgery)
-    _add_format_flag(surgery)
-    surgery.set_defaults(handler=_cmd_surgery)
-
-    solve = sub.add_parser("solve-bundle", help="parameters with sigma = 0 and nonzero A-hat genus")
-    solve.add_argument("--n", type=_nonneg_int_arg, required=True, help="fibre projective dimension")
-    solve.add_argument("--require-section", action="store_true", dest="require_section", help="pin A = 0 (n = 2 only)")
-    _add_format_flag(solve)
-    solve.set_defaults(handler=_cmd_solve_bundle)
-
+    for name, help_text, handler, flags in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--format"):
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -165,9 +165,14 @@ def ahat_genus_table(max_weight: int) -> GenusTable:
 
 
 def _unit_class_parts(total_class: RingElement, max_weight: int) -> list[RingElement]:
-    """Parts of degree 0, 4, ..., 4N of a class with constant term 1."""
+    """Parts of degree 0, 4, ..., 4N of a class with constant term 1 and no
+    terms in other degrees."""
     if total_class.constant_term() != 1:
         raise ValueError("total class must have constant term 1")
+    for exps in total_class.terms:
+        degree = total_class.presentation.monomial_degree(exps)
+        if degree % 4:
+            raise ValueError(f"total class has a term of degree {degree}, not a multiple of 4")
     return [total_class.homogeneous_part(4 * i) for i in range(max_weight + 1)]
 
 

@@ -13,24 +13,26 @@ from fractions import Fraction
 __all__ = ["format_rational", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+# A surgery result can carry ~4x the digits of its inputs, and the interpreter
+# prints no integer past 4,300 digits; at this bound results stay below that.
+_MAX_DIGITS = 1000
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` into a Fraction.
 
-    Both parts are written in ASCII decimal digits, and the denominator, when
-    present, must be positive; anything else (floats, letters, other digit
-    scripts, zero denominators, integers past the interpreter's digit limit)
-    is rejected.
+    Both parts are written in ASCII decimal digits, at most 1,000 of them,
+    and the denominator, when present, must be positive; anything else
+    (floats, letters, other digit scripts, zero denominators, longer
+    integers) is rejected.
     """
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"malformed rational {text!r}, expected num or num/den")
-    try:
-        return Fraction(s)
-    except ValueError:  # more digits than the interpreter converts
-        digits = max(len(part.lstrip("+-")) for part in s.split("/"))
-        raise ValueError(f"{digits}-digit integer is too large") from None
+    digits = max(len(part.lstrip("+-")) for part in s.split("/"))
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"{digits}-digit integer is too large")
+    return Fraction(s)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -15,6 +15,7 @@ import genuscalc
 from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, MODEL_MAX_WEIGHT, run
 
 _HUGE = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
+_WIDEST = "9" * 1000  # the most digits a rational argument may have
 
 
 def _invoke(capsys, argv):
@@ -109,6 +110,37 @@ def test_weight_sixteen_genus_output_is_pinned(capsys, series, fmt):
     assert _genus_sha256(capsys, 16, series, fmt) == _WEIGHT_SIXTEEN_SHA256[series, fmt]
 
 
+_ERROR_ARGVS = [
+    ["frobnicate"],
+    ["coeff", "--series", "L"],
+    ["coeff", "--series", "X", "--weight", "3"],
+    ["coeff", "--series", "L", "--weight", "-1"],
+    ["surgery", "--n", "2", "--A", "1.5"],
+    ["surgery", "--n", "2", "--A", "1/0"],
+    ["surgery", "--n", "1", "--A", "1"],
+    ["surgery", "--n", "3", "--B", "1"],
+    ["surgery", "--n", "2", "--lambda", "0"],
+    ["manifold", "--descriptor", "made:up"],
+    ["manifold", "--descriptor", "hp:2", "--report", "volume"],
+    ["manifold", "--descriptor", "hp:2", "--unknown-flag"],
+    ["solve-bundle", "--n", "3"],
+    ["solve-bundle", "--n", "4", "--require-section"],
+    [],
+    ["genus", "--series", "L", "--weight", "\u0663"],
+    ["genus", "--series", "L", "--weight", "\u00b2"],
+    ["manifold", "--descriptor", "hp:\u0662"],
+    ["genus", "--series", "L", "--weight", _HUGE],
+    ["manifold", "--descriptor", "hp:" + _HUGE],
+    ["manifold", "--descriptor", "s:" + _HUGE],
+    ["surgery", "--n", _HUGE],
+    ["surgery", "--n", "2", "--C", "-2/7"],
+    ["coeff", "--series", "L", "--weight", "1", "x\ny"],
+    ["surgery", "--n", "2", "--A", "\u0663", "--C", "\uff13"],
+    ["manifold", "--descriptor", "hp:2", "--report", "ahat,ahat"],
+    ["manifold", "--descriptor", "product:hp:2,,hp:2"],
+]
+
+
 _MANIFOLD_DESCRIPTORS = (
     [f"hp:{n}" for n in range(1, 17)]
     + [f"s:{k}" for k in range(4, 65, 4)]
@@ -121,11 +153,20 @@ _SWEEPS = {
     "surgery": [["surgery", "--n", str(n), *_PARAMS] for n in range(2, 13)],
     "pontryagin": [["pontryagin", "--n", str(n), *_PARAMS] for n in range(2, 13)],
     "solve-bundle": [["solve-bundle", "--n", str(n)] for n in range(2, 13)],
+    "coeff": [
+        ["coeff", "--series", s, "--weight", str(w)] for s in ("L", "Ahat") for w in [*range(21), 150]
+    ],
+    "help": [["--help"]]
+    + [[c, "--help"] for c in ("coeff", "genus", "manifold", "pontryagin", "surgery", "solve-bundle")],
+    "errors": [*_ERROR_ARGVS, ["surgery", "--n", "99", "--A", "x"]],
 }
 
 # sha256 over (status, stdout, stderr) of each argv of a sweep, recorded while
 # a manifold model still stored its dimension, ring and fundamental monomial
-# beside its tangent class; odd n pins solve-bundle's one-line refusal
+# beside its tangent class; odd n pins solve-bundle's one-line refusal.
+# The coeff, help and errors digests were recorded before the subcommand
+# table and the payload renderer replaced per-subcommand flags and lines;
+# help and errors argvs run as written, without a --format flag.
 _SWEEP_SHA256 = {
     ("manifold", "text"): "9962a9affdd1f2dc9596ea967d81d99134493d7355aaf38724951a049d8980a9",
     ("manifold", "json"): "a6b2b8ecbb1df3e9da9483f1cf2e2aca8a892382187e9a9ae7a40361cc72d2d8",
@@ -135,14 +176,20 @@ _SWEEP_SHA256 = {
     ("pontryagin", "json"): "be04513e431cbd705ee602253d52d49c8edbdf68fb2dfc56bcc53b48305a7e98",
     ("solve-bundle", "text"): "a519dc8d715358bf23f257e0f7f2ec1df84d29277491fd4d744d2ffc5d313573",
     ("solve-bundle", "json"): "6f469d12ad5ba94a047a21d57e89b628c5f163ca8e83a2f50c940de8c526acc7",
+    ("coeff", "text"): "37eaab747d9847526d6cd96bba9e2a142a314279cb1e0b2f46c9be9c0e35fb2c",
+    ("coeff", "json"): "b306201db3841f59a8080d1d9a2840e70e263e42a4b6037fdf783166aea2d036",
+    ("help", None): "eea6c986914a2f6f59d2f408cef0b5ac97dabf86299f95b44a640c0fc5c43cb7",
+    ("errors", None): "1dfc08c45026182c90d6163a6985c4f409bf0252ce58d3c8244baff280cec311",
 }
 
 
 @pytest.mark.parametrize("command, fmt", sorted(_SWEEP_SHA256))
-def test_sweep_output_is_pinned(capsys, command, fmt):
+def test_sweep_output_is_pinned(capsys, monkeypatch, command, fmt):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     digest = hashlib.sha256()
     for argv in _SWEEPS[command]:
-        digest.update(repr(_invoke(capsys, [*argv, "--format", fmt])).encode())
+        format_flag = ["--format", fmt] if fmt else []
+        digest.update(repr(_invoke(capsys, [*argv, *format_flag])).encode())
     assert digest.hexdigest() == _SWEEP_SHA256[command, fmt]
 
 
@@ -309,38 +356,7 @@ def test_repeat_runs_are_byte_identical(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["frobnicate"],
-        ["coeff", "--series", "L"],
-        ["coeff", "--series", "X", "--weight", "3"],
-        ["coeff", "--series", "L", "--weight", "-1"],
-        ["surgery", "--n", "2", "--A", "1.5"],
-        ["surgery", "--n", "2", "--A", "1/0"],
-        ["surgery", "--n", "1", "--A", "1"],
-        ["surgery", "--n", "3", "--B", "1"],
-        ["surgery", "--n", "2", "--lambda", "0"],
-        ["manifold", "--descriptor", "made:up"],
-        ["manifold", "--descriptor", "hp:2", "--report", "volume"],
-        ["manifold", "--descriptor", "hp:2", "--unknown-flag"],
-        ["solve-bundle", "--n", "3"],
-        ["solve-bundle", "--n", "4", "--require-section"],
-        [],
-        ["genus", "--series", "L", "--weight", "\u0663"],
-        ["genus", "--series", "L", "--weight", "\u00b2"],
-        ["manifold", "--descriptor", "hp:\u0662"],
-        ["genus", "--series", "L", "--weight", _HUGE],
-        ["manifold", "--descriptor", "hp:" + _HUGE],
-        ["manifold", "--descriptor", "s:" + _HUGE],
-        ["surgery", "--n", _HUGE],
-        ["surgery", "--n", "2", "--C", "-2/7"],
-        ["coeff", "--series", "L", "--weight", "1", "x\ny"],
-        ["surgery", "--n", "2", "--A", "\u0663", "--C", "\uff13"],
-        ["manifold", "--descriptor", "hp:2", "--report", "ahat,ahat"],
-        ["manifold", "--descriptor", "product:hp:2,,hp:2"],
-    ],
-)
+@pytest.mark.parametrize("argv", _ERROR_ARGVS)
 def test_errors_exit_nonzero_with_one_diagnostic_line(capsys, argv):
     status, out, err = _invoke(capsys, argv)
     assert status != 0
@@ -401,6 +417,12 @@ _N_CAP = MODEL_MAX_WEIGHT - 1
          f"product ring with at most 200 monomials is supported, got {3**24}"),
         (["manifold", "--descriptor", "product:hp:15,hp:13"],
          "product ring with at most 200 monomials is supported, got 224"),
+        (["surgery", "--n", "2", "--lambda=1/9" + _WIDEST], "argument --lambda: 1001-digit integer is too large"),
+        # each input parses, but sigma would carry ~4x their digits, past the
+        # interpreter's limit on printing an integer
+        *(([command, "--n", "2", "--A", "9" * 4000, "--lambda", "9" * 4000, *fmt],
+           "argument --A: 4000-digit integer is too large")
+          for command, fmt in [("surgery", []), ("surgery", ["--format", "json"]), ("pontryagin", [])]),
     ],
 )
 def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
@@ -438,6 +460,9 @@ def test_runtime_errors_exit_with_one_diagnostic_line(capsys, monkeypatch):
     [
         ["manifold", "--descriptor", f"hp:{MODEL_MAX_WEIGHT}"],
         ["surgery", "--n", str(_N_CAP), "--A", "1", "--C", "1"],
+        *([command, "--n", n, "--A", _WIDEST, "--C", _WIDEST, "--lambda", _WIDEST, "--format", fmt]
+          + (["--B", _WIDEST] if n == "2" else [])
+          for command in ("surgery", "pontryagin") for n in ("2", "46") for fmt in ("text", "json")),
     ],
 )
 def test_models_at_the_cap_run(capsys, argv):

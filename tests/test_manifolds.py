@@ -197,6 +197,15 @@ def test_signature_rejects_dimensions_not_divisible_by_four():
         a_hat_genus(odd_ball)
 
 
+@pytest.mark.parametrize("k, a_hat", [(1, Fraction(-1, 8)), (2, Fraction(3, 128)), (3, Fraction(-5, 1024))])
+def test_complex_projective_spaces_with_a_degree_two_generator(k, a_hat):
+    # p(CP^{2k}) = (1 + x^2)^{2k+1} has terms only in degrees 4i
+    pres = RingPresentation((("x", 2, 2 * k + 1),), 4 * k)
+    model = ManifoldModel(f"CP{2 * k}", (pres.one() + pres.gen("x") ** 2) ** (2 * k + 1))
+    assert signature(model) == 1
+    assert a_hat_genus(model) == a_hat
+
+
 def test_descriptor_parsing():
     assert parse_descriptor("hp:2").name == "HP2"
     assert parse_descriptor("s:4").name == "S4"

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from genuscalc import (
+    ManifoldModel,
     RingPresentation,
     Series,
     ahat_genus_series,
@@ -21,6 +22,7 @@ from genuscalc import (
     partition_terms,
     pont_character,
     pont_classes_from_character,
+    signature,
 )
 from oracles import (
     character_by_newton,
@@ -222,6 +224,19 @@ def test_evaluate_genus_requires_unit_constant_term():
     pres = RingPresentation((("z", 4, 3),), 8)
     with pytest.raises(ValueError):
         evaluate_genus(l_genus_table(2), pres.gen("z"))
+
+
+def test_classes_with_terms_outside_degrees_4i_are_refused():
+    # read only in degrees 4i, 1 + x with |x| = 2 would pass for the class 1
+    pres = RingPresentation((("x", 2, 3),), 4)
+    p = pres.one() + pres.gen("x")
+    for call in (
+        lambda: evaluate_genus(l_genus_table(1), p),
+        lambda: pont_character(p, 1),
+        lambda: signature(ManifoldModel("X", p)),
+    ):
+        with pytest.raises(ValueError, match="term of degree 2, not a multiple of 4"):
+            call()
 
 
 def test_evaluate_genus_rejects_undersized_tables():

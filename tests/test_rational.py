@@ -59,6 +59,14 @@ def test_parse_rational_rejects_garbage(bad):
         parse_rational(bad)
 
 
+def test_parse_rational_refuses_more_than_a_thousand_digits():
+    widest = "9" * 1000
+    assert parse_rational(f"-{widest}/{widest[:-1]}8") == Fraction(-int(widest), int(widest) - 1)
+    for text in ("9" * 1001, "1/" + "9" * 1001, "0" * 1001):
+        with pytest.raises(ValueError, match="^1001-digit integer is too large$"):
+            parse_rational(text)
+
+
 def test_format_rational_omits_unit_denominator():
     assert format_rational(Fraction(496, 63)) == "496/63"
     assert format_rational(Fraction(-13, 45)) == "-13/45"
