@@ -11,18 +11,12 @@ import argparse
 import sys
 
 from . import __version__
-from .manifolds import MODEL_MAX_WEIGHT, a_hat_genus, parse_descriptor, signature
 from .multseq import ahat_genus_table, factored_str, l_genus_table, partition_terms, pont_character
 from .rational import format_rational, parse_rational
 from .series import ahat_genus_series, l_genus_series
-from .surgery import (
-    NormalInvariantParams,
-    a_hat_total_space,
-    p1_cubed_total_space,
-    solve_bundle,
-    surgery_obstruction,
-    xi_total_class,
-)
+
+# `manifolds` and `surgery` are imported by the handlers that use them, so the
+# `genus` and `coeff` commands never load them.
 
 __all__ = ["main", "run"]
 
@@ -35,6 +29,16 @@ _RATIONAL_FLAGS = ("--A", "--B", "--C", "--lambda")
 # at the cap, and the cost grows quickly past it.
 COEFF_MAX_WEIGHT = 150
 GENUS_MAX_WEIGHT = 16
+
+
+def __getattr__(name: str):
+    # `from genuscalc.cli import MODEL_MAX_WEIGHT` keeps working without
+    # loading `manifolds` on every import
+    if name == "MODEL_MAX_WEIGHT":
+        from .manifolds import MODEL_MAX_WEIGHT
+
+        return MODEL_MAX_WEIGHT
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CommandError(Exception):
@@ -73,14 +77,18 @@ def _check_cap(flag: str, value: int, cap: int) -> int:
 
 
 def _fibre_n(args: argparse.Namespace) -> int:
+    from .manifolds import MODEL_MAX_WEIGHT
+
     return _check_cap("--n", args.n, MODEL_MAX_WEIGHT - 1)
 
 
-def _params_from(args: argparse.Namespace) -> NormalInvariantParams:
+def _params_from(args: argparse.Namespace):
+    from .surgery import NormalInvariantParams
+
     return NormalInvariantParams(_fibre_n(args), A=args.A, B=args.B, C=args.C, lam=args.lam)
 
 
-def _params_payload(params: NormalInvariantParams, **values) -> dict:
+def _params_payload(params, **values) -> dict:
     named = {"A": params.A, "B": params.B, "C": params.C, "lambda": params.lam}
     return {"n": params.n, "params": {k: format_rational(v) for k, v in named.items()}, **values}
 
@@ -123,6 +131,8 @@ def _cmd_genus(args: argparse.Namespace):
 
 
 def _cmd_manifold(args: argparse.Namespace):
+    from .manifolds import a_hat_genus, parse_descriptor, signature
+
     model = parse_descriptor(args.descriptor)
     wanted = [r.strip() for r in args.report.split(",") if r.strip()]
     for r in wanted:
@@ -146,6 +156,8 @@ def _cmd_manifold(args: argparse.Namespace):
 
 
 def _cmd_pontryagin(args: argparse.Namespace):
+    from .surgery import xi_total_class
+
     params = _params_from(args)
     total = xi_total_class(params)
     character = pont_character(total, params.n + 1)
@@ -156,13 +168,15 @@ def _cmd_pontryagin(args: argparse.Namespace):
     return lines, {**payload, "total": str(total), "classes": classes}
 
 
-def _invariant_payload(params: NormalInvariantParams, sigma, a_hat, p1_cubed) -> dict:
+def _invariant_payload(params, sigma, a_hat, p1_cubed) -> dict:
     """Payload shared by `surgery` and `solve-bundle`; p1_cubed is None when n != 2."""
     values = {"sigma": sigma, "a_hat": a_hat, "p1_cubed": p1_cubed}
     return _params_payload(params, **{k: None if v is None else format_rational(v) for k, v in values.items()})
 
 
 def _cmd_surgery(args: argparse.Namespace):
+    from .surgery import a_hat_total_space, p1_cubed_total_space, surgery_obstruction
+
     params = _params_from(args)
     p1_cubed = p1_cubed_total_space(params) if params.n == 2 else None
     payload = _invariant_payload(params, surgery_obstruction(params), a_hat_total_space(params), p1_cubed)
@@ -170,6 +184,8 @@ def _cmd_surgery(args: argparse.Namespace):
 
 
 def _cmd_solve_bundle(args: argparse.Namespace):
+    from .surgery import solve_bundle
+
     solution = solve_bundle(_fibre_n(args), require_section=args.require_section)
     payload = _invariant_payload(solution.params, solution.sigma, solution.a_hat, solution.p1_cubed)
     basis = [[format_rational(c) for c in vec] for vec in solution.kernel_basis]

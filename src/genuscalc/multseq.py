@@ -202,7 +202,7 @@ def _genus_parts(table: GenusTable, total_class: RingElement) -> list[RingElemen
 def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
     """Evaluate the multiplicative sequence on a total class with constant term 1,
     giving 1 + sum_i K_i(p_1..p_i) with p_i the degree-4i part of the class."""
-    return sum(_genus_parts(table, total_class), total_class.presentation.zero())
+    return total_class.presentation._sum(_genus_parts(table, total_class))
 
 
 def pont_character(total_class: RingElement, max_weight: int) -> list[RingElement]:
@@ -245,4 +245,4 @@ def pont_classes_from_character(character: list[RingElement]) -> RingElement:
         comp * Fraction((-1) ** (k + 1) * factorial(2 * k), 2)
         for k, comp in enumerate(components, start=1)
     ]
-    return sum(exp_parts(graded, pres.one()), pres.zero())
+    return pres._sum(exp_parts(graded, pres.one()))

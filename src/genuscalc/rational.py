@@ -12,7 +12,7 @@ from fractions import Fraction
 
 __all__ = ["format_rational", "parse_rational"]
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 # A surgery result can carry ~4x the digits of its inputs, and the interpreter
 # prints no integer past 4,300 digits; at this bound results stay below that.
 _MAX_DIGITS = 1000

@@ -85,6 +85,17 @@ class RingPresentation(FrozenRecord):
     def element(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> RingElement:
         return RingElement(self, terms)
 
+    def _sum(self, elements: Iterable[RingElement]) -> RingElement:
+        """The sum of elements of this ring, built once: their term dicts are
+        merged, then reduced and checked by one construction."""
+        merged: dict[tuple[int, ...], Fraction] = {}
+        for element in elements:
+            if element._pres != self:
+                raise ValueError("ring elements come from different presentations")
+            for e, c in element._terms.items():
+                merged[e] = merged[e] + c if e in merged else c
+        return RingElement(self, merged)
+
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}(deg {d}, nil {p})" for n, d, p in self.generators)
         return f"RingPresentation([{gens}], top_degree={self.top_degree})"
@@ -227,7 +238,7 @@ class RingElement:
             raise ValueError("element with zero constant term is not invertible")
         step = gcd(*self._pres.degrees) or 1
         parts = [self.homogeneous_part(d) for d in range(0, self._pres.top_degree + 1, step)]
-        return sum(inverse_parts(parts, c), self._pres.zero())
+        return self._pres._sum(inverse_parts(parts, c))
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
         pieces = []

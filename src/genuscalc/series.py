@@ -35,8 +35,12 @@ def _size(value, what: str) -> int:
 
 
 def _convolve(a: Sequence, b: Sequence, n: int):
-    """sum_{k=1..n} a_k b_{n-k}, skipping zero factors."""
-    return sum((a[k] * b[n - k] for k in range(1, n + 1) if a[k] and b[n - k]), b[0] * 0)
+    """sum_{k=1..n} a_k b_{n-k}, skipping zero factors; ring products are
+    added by their ring's one-construction sum, Fractions by `sum`."""
+    products = (a[k] * b[n - k] for k in range(1, n + 1) if a[k] and b[n - k])
+    if isinstance(b[0], Fraction):
+        return sum(products, Fraction(0))
+    return b[0].presentation._sum(products)
 
 
 def inverse_parts(parts: Sequence, c0: Fraction) -> list:

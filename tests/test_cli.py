@@ -445,11 +445,21 @@ def test_negative_fraction_as_separate_argument_names_the_equals_form(capsys, fl
     assert status == 0 and err == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_leading_zeros_in_a_denominator_are_accepted(capsys, fmt):
+    plain = _invoke(capsys, ["surgery", "--n", "2", "--A=1/2", "--format", fmt])
+    assert plain[0] == 0
+    assert _invoke(capsys, ["surgery", "--n", "2", "--A=1/02", "--format", fmt]) == plain
+    status, out, err = _invoke(capsys, ["surgery", "--n", "2", "--A=1/00", "--format", fmt])
+    assert status == 2 and out == ""
+    assert err == "genuscalc: error: argument --A: malformed rational '1/00', expected num or num/den\n"
+
+
 def test_runtime_errors_exit_with_one_diagnostic_line(capsys, monkeypatch):
     def failing_self_check(*args, **kwargs):
         raise RuntimeError("self-check failed")
 
-    monkeypatch.setattr("genuscalc.cli.solve_bundle", failing_self_check)
+    monkeypatch.setattr("genuscalc.surgery.solve_bundle", failing_self_check)
     status, out, err = _invoke(capsys, ["solve-bundle", "--n", "2"])
     assert status == 2 and out == ""
     assert err == "genuscalc: error: self-check failed\n"

@@ -1,11 +1,14 @@
 """Property tests for ring arithmetic and the graded inverse/log/exp
 recurrences over random presentations: products, sums and negatives are
-compared with plain-dict oracles and must come out reduced, mixed generator
-degrees exercise the gcd step of the ring inverse, and genus evaluation and
-the character run through the log and exp recurrences inside the ring."""
+compared with plain-dict oracles and must come out reduced, the ring's
+one-construction sum equals the chain of `+` and refuses what `+` refuses,
+mixed generator degrees exercise the gcd step of the ring inverse, and genus
+evaluation and the character run through the log and exp recurrences inside
+the ring."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +125,46 @@ def test_ring_arithmetic_matches_plain_dicts_and_stays_reduced(data, scalar):
     for result, expected in checks:
         assert result.terms == expected
         _assert_reduced(result)
+
+
+@st.composite
+def summands(draw):
+    """A presentation and up to four of its elements, followed in a random
+    order by the negatives of some of them, so that terms cancel to zero."""
+    pres = draw(presentations())
+    elements = [_element(draw, pres, draw(rationals)) for _ in range(draw(st.integers(0, 4)))]
+    negated = [-x for x in elements if draw(st.booleans())]
+    return pres, draw(st.permutations(elements + negated))
+
+
+@SETTINGS
+@given(summands())
+@example((_SQUARES, []))
+@example((_SQUARES, [_SQUARES.gen("g0"), _SQUARES.gen("g1"), -_SQUARES.gen("g0")]))
+def test_ring_sum_equals_the_pairwise_chain(data):
+    pres, elements = data
+    chained, expected = pres.zero(), {}
+    for x in elements:
+        chained = chained + x
+        expected = var_poly_add(expected, x.terms)
+    total = pres._sum(elements)
+    assert total == chained and total.terms == expected
+    _assert_reduced(total)
+
+
+@SETTINGS
+@given(st.data())
+def test_ring_sum_refuses_a_mixed_presentation_as_plus_does(data):
+    pres = data.draw(presentations())
+    other = data.draw(presentations().filter(lambda p: p != pres))
+    elements = [_element(data.draw, pres, data.draw(rationals)) for _ in range(3)]
+    stranger = _element(data.draw, other, data.draw(rationals))
+    with pytest.raises(ValueError) as plus:
+        elements[0] + stranger
+    elements.insert(data.draw(st.integers(0, 3)), stranger)
+    with pytest.raises(ValueError) as summed:
+        pres._sum(elements)
+    assert str(summed.value) == str(plus.value) == "ring elements come from different presentations"
 
 
 @SETTINGS

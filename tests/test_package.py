@@ -1,13 +1,21 @@
-"""The package namespace re-exports exactly the public names of its layers,
-no module keeps an unused import or an unreferenced private helper, the
-benchmark's tracer and worker still find what they wrap and call, and the
-first lib-sweep operations pass the benchmark's own checks."""
+"""The package namespace re-exports exactly the public names of its layers
+and loads them on first use, the `genus` and `coeff` commands load neither
+`surgery` nor `manifolds`, no module keeps an unused import or an
+unreferenced private helper, the benchmark's tracer and worker still find
+what they wrap and call, and the first lib-sweep operations pass the
+benchmark's own checks."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from itertools import islice
 from pathlib import Path
+
+import pytest
 
 import genuscalc
 
@@ -33,6 +41,64 @@ def test_package_exports_the_union_of_the_layer_exports():
         assert getattr(genuscalc, name) is obj, name
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The last stdout line of `code` run in a new interpreter on this package."""
+    package_root = str(Path(genuscalc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def _public_names() -> list[str]:
+    return sorted(
+        name for layer in LAYERS for name in importlib.import_module(f"genuscalc.{layer}").__all__
+    )
+
+
+@pytest.mark.parametrize("command", ["genus", "coeff"])
+def test_genus_and_coeff_load_neither_surgery_nor_manifolds(command):
+    loaded = _fresh_interpreter(
+        "import sys; from genuscalc import cli; "
+        f"status = cli.run([{command!r}, '--series', 'L', '--weight', '3']); "
+        "print(status, sorted({'genuscalc.surgery', 'genuscalc.manifolds'} & set(sys.modules)))"
+    )
+    assert loaded == "0 []"
+
+
+def test_layers_load_on_first_use_of_a_package_attribute():
+    names = _public_names()
+    assert len(names) == 34
+    listed = json.loads(_fresh_interpreter(
+        "import json, sys, genuscalc; "
+        "before = sorted(m for m in sys.modules if m.startswith('genuscalc.')); "
+        "print(json.dumps([before, dir(genuscalc), genuscalc.__all__]))"
+    ))
+    assert listed[0] == []
+    assert set(names) <= set(listed[1]) and listed[2] == names
+    bound = json.loads(_fresh_interpreter(
+        "import json; from genuscalc import *; "
+        f"print(json.dumps(sorted(set({names!r}) & set(globals()))))"
+    ))
+    assert bound == names
+
+
+def test_cli_still_exports_the_model_cap():
+    from genuscalc.cli import MODEL_MAX_WEIGHT
+    from genuscalc.manifolds import MODEL_MAX_WEIGHT as cap
+
+    assert MODEL_MAX_WEIGHT == cap == 48
+    loaded = _fresh_interpreter(
+        "import sys; from genuscalc.cli import MODEL_MAX_WEIGHT; "
+        "print(MODEL_MAX_WEIGHT, 'genuscalc.surgery' in sys.modules)"
+    )
+    assert loaded == "48 False"
+
+
 def _module_trees():
     for path in sorted(Path(genuscalc.__file__).parent.glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
@@ -54,16 +120,6 @@ def _exported(tree) -> set[str]:
     return set()
 
 
-def _republishes_a_layer(filename: str, node, alias) -> bool:
-    """The package's star import of a layer, whose names the union test checks."""
-    return (
-        filename == "__init__.py"
-        and alias.name == "*"
-        and node.level == 1
-        and node.module in LAYERS
-    )
-
-
 def test_every_import_is_used_or_exported():
     unused = []
     for filename, tree in _module_trees():
@@ -74,7 +130,7 @@ def test_every_import_is_used_or_exported():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in used and not _republishes_a_layer(filename, node, alias):
+                    if bound not in used:
                         unused.append(f"{filename}: {bound}")
     assert unused == []
 

@@ -52,11 +52,18 @@ def test_parse_rational_accepts_canonical_forms():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", "", "a/b", "1/0", "1/-3", "3/", "/4", "1 / 2", "\u0663", "\uff13", "1/1\u0663"]
+    "bad",
+    ["1.5", "", "a/b", "1/0", "1/-3", "3/", "/4", "1 / 2", "\u0663", "\uff13", "1/1\u0663", "1/00"],
 )
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_rational_takes_leading_zeros_in_either_part():
+    assert parse_rational("1/02") == Fraction(1, 2)
+    assert parse_rational("01/2") == Fraction(1, 2)
+    assert parse_rational("-003/0006") == Fraction(-1, 2)
 
 
 def test_parse_rational_refuses_more_than_a_thousand_digits():
