@@ -10,7 +10,8 @@ log-derivative and one exp recurrence from `series`, the Pontryagin
 character is a rescaling of the h_k, and its inverse is one more exp.  The
 genus polynomials K_1..K_N are the genus of the universal class
 1 + p_1 + ... + p_N in Q[p_1..p_N], graded by |p_i| = 4i; they are built only
-for display, where their monomials are written as partitions.
+for display, where their monomials are written as partitions, by the same two
+recurrences run on integer numerators over one denominator per weight.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .formatting import signed_sum
 from .ring import RingElement, RingPresentation
@@ -92,6 +93,52 @@ def _pontryagin_ring(max_weight: int) -> RingPresentation:
     )
 
 
+def _universal_genus_parts(c: tuple[Fraction, ...]) -> list[RingElement]:
+    """K_1..K_N from the log coefficients c_0..c_N, as integer polynomials over
+    one denominator per weight.
+
+    The log-derivative parts of the universal class are Newton's integer
+    polynomials h_n = n p_n - sum_{k<n} h_k p_{n-k}, and the exp recurrence
+    n K_n = sum_k a_k h_k K_{n-k}, a_k = (-1)^{k+1} k c_k, is run on
+    K_n = E_n / D_n with D_n = n lcm_k(den a_k D_{n-k}), so E_n has integer
+    coefficients.  A monomial p_1^{e_1}...p_N^{e_N} is keyed by the integer
+    sum_i e_i B^{i-1}, B = N + 1: no exponent in weight <= N reaches B, so a
+    product of monomials is a sum of keys.
+    """
+    n_max = len(c) - 1
+    base = n_max + 1
+    a = [(-1) ** (k + 1) * k * c[k] for k in range(n_max + 1)]
+    h: list[dict[int, int]] = [{}]
+    num: list[dict[int, int]] = [{0: 1}]
+    den = [1]
+    for n in range(1, n_max + 1):
+        h_n = {base ** (n - 1): n}
+        for k in range(1, n):
+            shift = base ** (n - k - 1)
+            for key, v in h[k].items():
+                h_n[key + shift] = h_n.get(key + shift, 0) - v
+        h.append(h_n)
+        ks = [k for k in range(1, n + 1) if a[k]]
+        d_n = n * lcm(*(a[k].denominator * den[n - k] for k in ks))
+        e_n: dict[int, int] = {}
+        for k in ks:
+            scale = d_n // (n * a[k].denominator * den[n - k]) * a[k].numerator
+            for k1, v1 in h[k].items():
+                v1 *= scale
+                for k2, v2 in num[n - k].items():
+                    e_n[k1 + k2] = e_n.get(k1 + k2, 0) + v1 * v2
+        g = gcd(d_n, *e_n.values())
+        num.append({key: v // g for key, v in e_n.items()})
+        den.append(d_n // g)
+    ring = _pontryagin_ring(n_max)
+    return [
+        ring.element(
+            {tuple(key // base**i % base for i in range(n_max)): Fraction(v, d) for key, v in e.items()}
+        )
+        for e, d in zip(num[1:], den[1:])
+    ]
+
+
 class GenusTable:
     """Multiplicative sequence of a characteristic power series up to weight N.
 
@@ -115,10 +162,7 @@ class GenusTable:
         """K_1..K_N in Q[p_1..p_N]: the parts of positive degree of the genus
         of the universal class 1 + p_1 + ... + p_N."""
         if self._polys is None:
-            n = self.max_weight
-            # the zero exponent vector (j = -1) and the unit vector of each p_{j+1}
-            universal = {tuple(int(i == j) for i in range(n)): 1 for j in range(-1, n)}
-            self._polys = tuple(_genus_parts(self, _pontryagin_ring(n).element(universal))[1:])
+            self._polys = tuple(_universal_genus_parts(self._log))
         return self._polys
 
     @property
@@ -176,13 +220,13 @@ def _unit_class_parts(total_class: RingElement, max_weight: int) -> list[RingEle
     return [total_class.homogeneous_part(4 * i) for i in range(max_weight + 1)]
 
 
-def _genus_parts(table: GenusTable, total_class: RingElement) -> list[RingElement]:
-    """Parts of degree 0, 4, ..., 4N of the genus of a class with constant term 1.
+def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
+    """Evaluate the multiplicative sequence on a total class with constant term 1,
+    giving 1 + sum_i K_i(p_1..p_i) with p_i the degree-4i part of the class.
 
-    The degree-4i part of the class plays the role of p_i, and the genus
-    1 + sum_i K_i(p_1..p_i) is computed in the class's own ring as
-    exp(sum_k c_k s_k): with h_k the log-derivative parts of the class,
-    s_k = (-1)^{k+1} h_k, so the exponent has D-parts (-1)^{k+1} k c_k h_k.
+    The genus is computed in the class's own ring as exp(sum_k c_k s_k): with
+    h_k the log-derivative parts of the class, s_k = (-1)^{k+1} h_k, so the
+    exponent has D-parts (-1)^{k+1} k c_k h_k.
     """
     pres = total_class.presentation
     needed = pres.top_degree // 4
@@ -196,13 +240,7 @@ def _genus_parts(table: GenusTable, total_class: RingElement) -> list[RingElemen
     c = table.log_coefficients
     for k in range(1, needed + 1):
         graded[k] = graded[k] * ((-1) ** (k + 1) * k * c[k])
-    return exp_parts(graded, pres.one())
-
-
-def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
-    """Evaluate the multiplicative sequence on a total class with constant term 1,
-    giving 1 + sum_i K_i(p_1..p_i) with p_i the degree-4i part of the class."""
-    return total_class.presentation._sum(_genus_parts(table, total_class))
+    return pres._sum(exp_parts(graded, pres.one()))
 
 
 def pont_character(total_class: RingElement, max_weight: int) -> list[RingElement]:

@@ -156,6 +156,7 @@ _SWEEPS = {
     "coeff": [
         ["coeff", "--series", s, "--weight", str(w)] for s in ("L", "Ahat") for w in [*range(21), 150]
     ],
+    "genus": [["genus", "--series", s, "--weight", str(w)] for s in ("L", "Ahat") for w in range(17)],
     "help": [["--help"]]
     + [[c, "--help"] for c in ("coeff", "genus", "manifold", "pontryagin", "surgery", "solve-bundle")],
     "errors": [*_ERROR_ARGVS, ["surgery", "--n", "99", "--A", "x"]],
@@ -166,7 +167,9 @@ _SWEEPS = {
 # beside its tangent class; odd n pins solve-bundle's one-line refusal.
 # The coeff, help and errors digests were recorded before the subcommand
 # table and the payload renderer replaced per-subcommand flags and lines;
-# help and errors argvs run as written, without a --format flag.
+# help and errors argvs run as written, without a --format flag.  The genus
+# digests were recorded while the genus polynomials were still the ring
+# genus of the universal class, before they moved to integer numerators.
 _SWEEP_SHA256 = {
     ("manifold", "text"): "9962a9affdd1f2dc9596ea967d81d99134493d7355aaf38724951a049d8980a9",
     ("manifold", "json"): "a6b2b8ecbb1df3e9da9483f1cf2e2aca8a892382187e9a9ae7a40361cc72d2d8",
@@ -178,6 +181,8 @@ _SWEEP_SHA256 = {
     ("solve-bundle", "json"): "6f469d12ad5ba94a047a21d57e89b628c5f163ca8e83a2f50c940de8c526acc7",
     ("coeff", "text"): "37eaab747d9847526d6cd96bba9e2a142a314279cb1e0b2f46c9be9c0e35fb2c",
     ("coeff", "json"): "b306201db3841f59a8080d1d9a2840e70e263e42a4b6037fdf783166aea2d036",
+    ("genus", "text"): "10b4fcb534c6100b324e8c06f567771303a36cbe0314c4deb3f25e09c6c016e9",
+    ("genus", "json"): "816219f6c9d7175064a9696a9c87c2a738564a23e4541abcf69728b54a2bcfdd",
     ("help", None): "eea6c986914a2f6f59d2f408cef0b5ac97dabf86299f95b44a640c0fc5c43cb7",
     ("errors", None): "1dfc08c45026182c90d6163a6985c4f409bf0252ce58d3c8244baff280cec311",
 }

@@ -24,6 +24,7 @@ from genuscalc import (
     pont_classes_from_character,
     signature,
 )
+from genuscalc.multseq import _pontryagin_ring
 from oracles import (
     character_by_newton,
     expand_in_variables,
@@ -154,6 +155,30 @@ def test_genus_table_matches_exp_by_powers_oracle():
         table = genus_table(q)
         expected = genus_polys_by_powers(q.coefficients, 8)
         assert [partition_terms(table.poly(i)) for i in range(1, 9)] == expected, repr(q)
+
+
+def _ring_route_polys(table):
+    """K_1..K_N as the degree-4n parts of evaluate_genus on the universal class
+    1 + p_1 + ... + p_N, in the ring the table's polynomials live in."""
+    pres = _pontryagin_ring(table.max_weight)
+    universal = sum((pres.gen(name) for name in pres.names), pres.one())
+    genus = evaluate_genus(table, universal)
+    return tuple(genus.homogeneous_part(4 * n) for n in range(1, table.max_weight + 1))
+
+
+@pytest.mark.parametrize("weight", range(17))
+def test_table_polys_equal_the_ring_genus_of_the_universal_class(weight):
+    for table in (l_genus_table(weight), ahat_genus_table(weight)):
+        assert table.polys == _ring_route_polys(table)
+
+
+def test_table_polys_of_other_series_equal_the_ring_route():
+    rng = random.Random(1213)
+    random_series = Series([1] + [random_fraction(rng) for _ in range(12)], 12)
+    sparse_series = Series([1, 0, 0, Fraction(-2, 3)], 12)  # c_k = 0 unless 3 | k
+    for q in (random_series, sparse_series, Series([1], 5)):
+        table = genus_table(q)
+        assert table.polys == _ring_route_polys(table), repr(q)
 
 
 def test_leading_coefficient_matches_table_polys():
