@@ -18,7 +18,7 @@ from operator import add, ge, index, mul
 
 from .formatting import signed_sum
 from .record import FrozenRecord
-from .series import _size, inverse_parts
+from .series import _power, _size, inverse_parts
 
 __all__ = ["RingElement", "RingPresentation"]
 
@@ -87,10 +87,12 @@ class RingPresentation(FrozenRecord):
 
     def _sum(self, elements: Iterable[RingElement]) -> RingElement:
         """The sum of elements of this ring, built once: their term dicts are
-        merged, then reduced and checked by one construction."""
+        merged, then reduced and checked by one construction.  Operands
+        nearly always hold this very presentation object, which skips the
+        field-by-field compare."""
         merged: dict[tuple[int, ...], Fraction] = {}
         for element in elements:
-            if element._pres != self:
+            if element._pres is not self and element._pres != self:
                 raise ValueError("ring elements come from different presentations")
             for e, c in element._terms.items():
                 merged[e] = merged[e] + c if e in merged else c
@@ -167,10 +169,6 @@ class RingElement:
         }
         return RingElement(self._pres, picked)
 
-    def _check_same_ring(self, other: RingElement) -> None:
-        if self._pres != other._pres:
-            raise ValueError("ring elements come from different presentations")
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -186,11 +184,7 @@ class RingElement:
     def __add__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._check_same_ring(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return RingElement(self._pres, out)
+        return self._pres._sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, RingElement):
@@ -202,7 +196,8 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
-            self._check_same_ring(other)
+            if self._pres != other._pres:
+                raise ValueError("ring elements come from different presentations")
             out: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
@@ -219,12 +214,7 @@ class RingElement:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> RingElement:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"ring exponent must be a nonnegative integer, got {exponent!r}")
-        result = self._pres.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self._pres.one(), self, exponent)
 
     def inverse(self) -> RingElement:
         """Multiplicative inverse of a unit (nonzero constant term).

@@ -1,5 +1,6 @@
 """Truncated univariate power series over exact rationals, and the graded
-inverse, log and exp recurrences that every truncated algebra here shares.
+inverse, log and exp recurrences and the repeated-squaring power that every
+truncated algebra here shares.
 
 Also builds the two characteristic series driving everything else: the
 signature genus series sqrt(z)/tanh(sqrt(z)) and the A-hat genus series
@@ -71,6 +72,20 @@ def exp_parts(graded: Sequence, one) -> list:
     return out
 
 
+def _power(one, base, exponent: int):
+    """base ** exponent by repeated squaring, starting from the algebra's `one`."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class Series(FrozenRecord):
     """Power series truncated at a fixed order, with Fraction coefficients.
 
@@ -107,18 +122,7 @@ class Series(FrozenRecord):
         return Series([a[0] * b[k] + _convolve(a, b, k) for k in range(n + 1)], n)
 
     def __pow__(self, exponent: int) -> Series:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"series exponent must be a nonnegative integer, got {exponent!r}")
-        result = Series([1], self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(Series([1], self.order), self, exponent)
 
     def inverse(self) -> Series:
         """Multiplicative inverse; requires a nonzero constant term."""

@@ -26,8 +26,6 @@ __all__ = [
     "NormalInvariantParams",
     "a_hat_total_space",
     "ambient_model",
-    "general_a_hat_coefficient",
-    "general_obstruction_coefficients",
     "p1_cubed_total_space",
     "solve_bundle",
     "surgery_obstruction",
@@ -138,30 +136,6 @@ def p1_cubed_total_space(params: NormalInvariantParams) -> Fraction:
     return model.integrate(p1**3)
 
 
-def general_obstruction_coefficients(n: int) -> tuple[Fraction, Fraction]:
-    """Coefficients (per A, per C) of 8 sigma at lambda = 1 in pair mode:
-    8 sigma = lambda (coeff_A * A + coeff_C * C), read off the ring
-    evaluation at the unit parameters."""
-    return (
-        8 * surgery_obstruction(NormalInvariantParams(n, A=1)),
-        8 * surgery_obstruction(NormalInvariantParams(n, C=1)),
-    )
-
-
-def _pair_mode_n(n) -> int:
-    """n as an int, refused unless it is an even fibre dimension >= 2."""
-    n = _size(n, "fibre projective dimension n")
-    if n < 2 or n % 2:
-        raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
-    return n
-
-
-def general_a_hat_coefficient(n: int) -> Fraction:
-    """Coefficient of C in the total-space A-hat genus at lambda = 1, even n,
-    read off the ring evaluation at C = 1."""
-    return a_hat_total_space(NormalInvariantParams(_pair_mode_n(n), C=1))
-
-
 def _primitive_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
     """Scale to a primitive integer vector whose first nonzero entry is positive."""
     if not any(vec):
@@ -189,7 +163,9 @@ def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     All sigma coefficients come from honest ring evaluations, not stored
     constants.
     """
-    n = _pair_mode_n(n)
+    n = _size(n, "fibre projective dimension n")
+    if n < 2 or n % 2:
+        raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
     if require_section and n != 2:
         raise ValueError(f"a section can only be required when n = 2, got n = {n}")
     names = ("A", "B", "C") if n == 2 else ("A", "C")

@@ -18,8 +18,6 @@ from genuscalc import (
     ahat_genus_series,
     ahat_genus_table,
     evaluate_genus,
-    general_a_hat_coefficient,
-    general_obstruction_coefficients,
     hp_model,
     l_genus_series,
     l_genus_table,
@@ -198,17 +196,15 @@ def test_criterion_09_higher_even_fibres():
             assert a_hat_genus(hp_model(n)) == 0
         # the ring route against the Bernoulli closed form at both parities
         for n in range(2, 13):
-            coeff_a, coeff_c = general_obstruction_coefficients(n)
+            coeff_a = 8 * surgery_obstruction(NormalInvariantParams(n, A=1))
+            coeff_c = 8 * surgery_obstruction(NormalInvariantParams(n, C=1))
             assert (coeff_a, coeff_c) == pair_mode_obstruction_coefficients(n)
-            assert 8 * surgery_obstruction(NormalInvariantParams(n, A=1)) == coeff_a
-            assert 8 * surgery_obstruction(NormalInvariantParams(n, C=1)) == coeff_c
+            if n == 2:
+                assert (coeff_a, coeff_c) == (Fraction(-1, 3), Fraction(-496, 63))
             if n % 2 == 0:
-                assert general_a_hat_coefficient(n) == pair_mode_a_hat_coefficient(n) != 0
-        assert general_obstruction_coefficients(2) == (
-            Fraction(-1, 3),
-            Fraction(-496, 63),
-        )
-        assert general_a_hat_coefficient(2) == Fraction(1, 504)
+                a_hat = a_hat_total_space(NormalInvariantParams(n, C=1))
+                assert a_hat == pair_mode_a_hat_coefficient(n) != 0
+        assert a_hat_total_space(NormalInvariantParams(2, C=1)) == Fraction(1, 504)
 
     _report(9, "general fibre coefficients match the closed form", checks)
 

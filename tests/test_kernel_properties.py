@@ -2,6 +2,7 @@
 recurrences over random presentations: products, sums and negatives are
 compared with plain-dict oracles and must come out reduced, the ring's
 one-construction sum equals the chain of `+` and refuses what `+` refuses,
+powers by repeated squaring equal the repeated products,
 mixed generator degrees exercise the gcd step of the ring inverse, and genus
 evaluation and the character run through the log and exp recurrences inside
 the ring."""
@@ -177,6 +178,28 @@ def test_ring_laws(data):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
     assert a * one == a and a + zero == a and a * zero == zero
+
+
+@SETTINGS
+@given(triples(), st.integers(0, 8))
+def test_ring_power_equals_the_repeated_product(data, exponent):
+    a = data[0]
+    product = a.presentation.one()
+    for _ in range(exponent):
+        product = product * a
+    power = a**exponent
+    assert power == product
+    _assert_reduced(power)
+
+
+@SETTINGS
+@given(st.lists(rationals, min_size=1, max_size=8), st.integers(0, 8))
+def test_series_power_equals_the_repeated_product(coefficients, exponent):
+    a = Series(coefficients)
+    product = Series([1], a.order)
+    for _ in range(exponent):
+        product = product * a
+    assert a**exponent == product
 
 
 @SETTINGS

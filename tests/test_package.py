@@ -72,7 +72,7 @@ def test_genus_and_coeff_load_neither_surgery_nor_manifolds(command):
 
 def test_layers_load_on_first_use_of_a_package_attribute():
     names = _public_names()
-    assert len(names) == 34
+    assert len(names) == 32
     listed = json.loads(_fresh_interpreter(
         "import json, sys, genuscalc; "
         "before = sorted(m for m in sys.modules if m.startswith('genuscalc.')); "

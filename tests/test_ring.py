@@ -1,11 +1,12 @@
 """Truncated graded-commutative rings with nilpotent even generators."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from genuscalc import RingPresentation
+from genuscalc import RingPresentation, hp_model
 from oracles import naive_reduced_product, nonzero_fraction, random_fraction
 
 
@@ -110,6 +111,21 @@ def test_nilpotency_truncates_powers():
     assert bool(z**2)
 
 
+def test_powers_are_by_repeated_squaring():
+    # a multiplication per unit of the exponent would never finish here
+    pres = hp_model(2).presentation
+    z, e = pres.gen("z"), 10**18
+    assert z**e == pres.zero()
+    assert (pres.one() + z) ** e == pres.element({(0,): 1, (1,): e, (2,): e * (e - 1) // 2})
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5])
+def test_bad_exponents_are_refused(bad):
+    z = _s4_hp2().gen("z")
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        z**bad
+
+
 def test_augmentation_ideal_is_nilpotent():
     rng = random.Random(808)
     for n in (2, 3):
@@ -189,8 +205,9 @@ def test_coefficient_extraction_is_linear():
 def test_elements_from_different_presentations_do_not_mix():
     a = _s4_hp2().gen("z")
     other = RingPresentation((("u", 4, 2), ("z", 4, 3)), 16)
-    with pytest.raises(ValueError):
-        a * other.gen("z")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="ring elements come from different presentations"):
+            op(a, other.gen("z"))
 
 
 def test_structurally_equal_presentations_interoperate():

@@ -103,8 +103,9 @@ def test_power_matches_repeated_multiplication():
         by_hand = by_hand * a
     assert a**5 == by_hand
     assert a**0 == Series([1], 4)
-    with pytest.raises(ValueError):
-        a ** (-1)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            a**bad
 
 
 def test_l_genus_series_frozen_coefficients():

@@ -11,8 +11,6 @@ from genuscalc import (
     a_hat_genus,
     a_hat_total_space,
     ambient_model,
-    general_a_hat_coefficient,
-    general_obstruction_coefficients,
     p1_cubed_total_space,
     pont_classes_from_character,
     signature,
@@ -53,7 +51,7 @@ def test_params_validation():
 @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
 @pytest.mark.parametrize(
     "entry",
-    [NormalInvariantParams, solve_bundle, general_a_hat_coefficient, general_obstruction_coefficients],
+    [NormalInvariantParams, solve_bundle],
 )
 def test_params_refuse_a_non_integer_n(entry, n):
     with pytest.raises(ValueError, match=r"dimension n must be an integer, got "):
@@ -67,7 +65,6 @@ def test_params_convert_n_to_an_int():
 
     params = NormalInvariantParams(Four(), C=1)
     assert type(params.n) is int and params.n == 4
-    assert general_a_hat_coefficient(Four()) == general_a_hat_coefficient(4)
     assert solve_bundle(Four()) == solve_bundle(4)
     with pytest.raises(ValueError, match="must be >= 2, got 1"):
         NormalInvariantParams(True, A=1)
@@ -205,33 +202,33 @@ def test_scale_factors_out():
         assert a_hat_total_space(scaled) == lam * a_hat_total_space(base)
 
 
+def _obstruction_coefficients(n):
+    """Coefficients (per A, per C) of 8 sigma at lambda = 1, read off the ring
+    evaluation at the unit parameters."""
+    return (
+        8 * surgery_obstruction(NormalInvariantParams(n, A=1)),
+        8 * surgery_obstruction(NormalInvariantParams(n, C=1)),
+    )
+
+
 def test_general_obstruction_coefficients_frozen_n2():
-    assert general_obstruction_coefficients(2) == (Fraction(-1, 3), Fraction(-496, 63))
+    assert _obstruction_coefficients(2) == (Fraction(-1, 3), Fraction(-496, 63))
     with pytest.raises(ValueError, match="fibre projective dimension must be >= 2, got 1"):
-        general_obstruction_coefficients(1)
+        _obstruction_coefficients(1)
 
 
 def test_general_coefficients_match_direct_ring_evaluation():
-    for n in range(2, 10):
-        coeffs = general_obstruction_coefficients(n)
-        assert coeffs == (
-            8 * surgery_obstruction(NormalInvariantParams(n, A=1)),
-            8 * surgery_obstruction(NormalInvariantParams(n, C=1)),
-        )
-        assert coeffs == pair_mode_obstruction_coefficients(n), n
+    for n in range(2, 13):
+        assert _obstruction_coefficients(n) == pair_mode_obstruction_coefficients(n), n
     # sig(HP^n) = 0 at odd n, so A drops out of sigma there
-    assert general_obstruction_coefficients(3) == (0, Fraction(2032, 15))
+    assert _obstruction_coefficients(3) == (0, Fraction(2032, 15))
 
 
 def test_general_a_hat_coefficient_matches_direct_evaluation():
-    assert general_a_hat_coefficient(2) == Fraction(1, 504)
-    for n in (2, 4, 6):
-        coeff = general_a_hat_coefficient(n)
-        assert coeff != 0
-        assert a_hat_total_space(NormalInvariantParams(n, C=1)) == coeff
-        assert coeff == pair_mode_a_hat_coefficient(n)
-    with pytest.raises(ValueError):
-        general_a_hat_coefficient(3)
+    assert a_hat_total_space(NormalInvariantParams(2, C=1)) == Fraction(1, 504)
+    for n in (2, 4, 6, 8, 10, 12):
+        coeff = a_hat_total_space(NormalInvariantParams(n, C=1))
+        assert coeff == pair_mode_a_hat_coefficient(n) != 0, n
 
 
 def test_solve_bundle_n2_kernel_and_representative():
@@ -278,7 +275,7 @@ def test_solve_bundle_even_n_pair_mode():
         assert len(solution.kernel_basis) == 1
         vec = solution.kernel_basis[0]
         assert all(c.denominator == 1 for c in vec)
-        coeff_a, coeff_c = general_obstruction_coefficients(n)
+        coeff_a, coeff_c = _obstruction_coefficients(n)
         assert coeff_a * vec[0] + coeff_c * vec[1] == 0
 
 
