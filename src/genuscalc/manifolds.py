@@ -67,7 +67,8 @@ class ManifoldModel(FrozenRecord):
         return self.presentation.monomial_degree(self.fundamental)
 
     def integrate(self, element: RingElement) -> Fraction:
-        """Pair a class against the fundamental monomial."""
+        """Pair a class of this model's ring against the fundamental monomial."""
+        self.presentation._check_member(element)
         return element.coefficient(self.fundamental)
 
 

@@ -11,8 +11,8 @@ class FrozenRecord:
     """Fields named by the subclass's `__slots__`, set once by `__init__`.
 
     Assigning or deleting any attribute raises `AttributeError`.  Records
-    compare and hash by class and field values, and copy and pickle by
-    calling the constructor again with their fields.
+    compare (by identity first) and hash by class and field values, and copy
+    and pickle by calling the constructor again with their fields.
     """
 
     __slots__ = ()
@@ -32,7 +32,7 @@ class FrozenRecord:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return other is self or self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:

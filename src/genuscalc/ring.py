@@ -18,16 +18,22 @@ from operator import add, ge, index, mul
 
 from .formatting import signed_sum
 from .record import FrozenRecord
-from .series import _power, _size, inverse_parts
+from .series import _power, _rational, _size, inverse_parts
 
 __all__ = ["RingElement", "RingPresentation"]
 
 
-def _non_integer_exponent(exponents) -> ValueError:
-    """The error for an exponent vector that `operator.index` refuses: a
-    non-integer exponent is named, never truncated."""
-    bad = next((e for e in exponents if not hasattr(type(e), "__index__")), None)
-    return ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer")
+def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
+    """An exponent vector as a tuple of `ngens` ints: a non-integer exponent
+    is named, never truncated."""
+    try:
+        key = tuple(map(index, exponents))
+    except TypeError:
+        bad = next((e for e in exponents if not hasattr(type(e), "__index__")), None)
+        raise ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer") from None
+    if len(key) != ngens:
+        raise ValueError(f"exponent vector {key} does not match {ngens} generators")
+    return key
 
 
 class RingPresentation(FrozenRecord):
@@ -85,15 +91,17 @@ class RingPresentation(FrozenRecord):
     def element(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> RingElement:
         return RingElement(self, terms)
 
+    def _check_member(self, element: RingElement) -> None:
+        """Refuse an element of another presentation."""
+        if element._pres != self:
+            raise ValueError("ring elements come from different presentations")
+
     def _sum(self, elements: Iterable[RingElement]) -> RingElement:
         """The sum of elements of this ring, built once: their term dicts are
-        merged, then reduced and checked by one construction.  Operands
-        nearly always hold this very presentation object, which skips the
-        field-by-field compare."""
+        merged, then reduced and checked by one construction."""
         merged: dict[tuple[int, ...], Fraction] = {}
         for element in elements:
-            if element._pres is not self and element._pres != self:
-                raise ValueError("ring elements come from different presentations")
+            self._check_member(element)
             for e, c in element._terms.items():
                 merged[e] = merged[e] + c if e in merged else c
         return RingElement(self, merged)
@@ -119,15 +127,10 @@ class RingElement:
         top = presentation.top_degree
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in dict(terms).items():
-            try:
-                key = tuple(map(index, exps))
-            except TypeError:
-                raise _non_integer_exponent(exps) from None
-            if len(key) != ngens:
-                raise ValueError(f"exponent vector {key} does not match {ngens} generators")
+            key = _exponent_vector(exps, ngens)
             if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else _rational(coeff)
             if not c or any(map(ge, key, nils)) or sum(map(mul, key, degrees)) > top:
                 continue  # zero, a generator power that collapses, or beyond the top degree
             total = clean.get(key, 0) + c
@@ -146,13 +149,7 @@ class RingElement:
         return dict(self._terms)
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
-        try:
-            key = tuple(map(index, exponents))
-        except TypeError:
-            raise _non_integer_exponent(exponents) from None
-        if len(key) != self._pres.ngens:
-            raise ValueError(f"exponent vector {key} does not match {self._pres.ngens} generators")
-        return self._terms.get(key, Fraction(0))
+        return self._terms.get(_exponent_vector(exponents, self._pres.ngens), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self._pres.ngens, Fraction(0))
@@ -196,8 +193,7 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
-            if self._pres != other._pres:
-                raise ValueError("ring elements come from different presentations")
+            self._pres._check_member(other)
             out: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():

@@ -29,6 +29,14 @@ def _size(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _rational(value) -> Fraction:
+    """A scalar as a Fraction, refused when it is a float, whose binary value
+    is seldom the rational meant."""
+    if isinstance(value, float):
+        raise ValueError(f"scalar {value!r} is a float; give an int, a Fraction or 'num/den'")
+    return Fraction(value)
+
+
 # The recurrences below act on the homogeneous parts a_0..a_N of an element
 # of a truncated graded algebra (series coefficients, or ring classes by
 # degree).  They are exact because the grading operator D(a) = sum_k k a_k
@@ -95,7 +103,7 @@ class Series(FrozenRecord):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients, order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_rational(c) for c in coefficients]
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")

@@ -19,7 +19,7 @@ from .manifolds import ManifoldModel, hp_model, product_model, signature, sphere
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .record import FrozenRecord
 from .ring import RingElement
-from .series import _size
+from .series import _rational, _size
 
 __all__ = [
     "BundleSolution",
@@ -51,7 +51,7 @@ class NormalInvariantParams(FrozenRecord):
         lam: Fraction = Fraction(1),
     ) -> None:
         n = _size(n, "fibre projective dimension n")
-        super().__init__(n, Fraction(A), Fraction(B), Fraction(C), Fraction(lam))
+        super().__init__(n, *map(_rational, (A, B, C, lam)))
         if n < 2:
             raise ValueError(f"fibre projective dimension must be >= 2, got {n}")
         if not self.lam:

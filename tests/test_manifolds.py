@@ -188,6 +188,15 @@ def test_integrate_reads_the_fundamental_coefficient():
     assert model.integrate(model.presentation.one()) == 0
 
 
+def test_integrate_refuses_a_class_of_another_ring():
+    hp2, hp3 = hp_model(2), hp_model(3)
+    with pytest.raises(ValueError, match="ring elements come from different presentations"):
+        hp2.integrate(hp3.tangent_pontryagin)
+    twin = RingPresentation([("z", 4, 3)], 8)
+    assert twin is not hp2.presentation
+    assert hp2.integrate(twin.element({(2,): 5})) == 5
+
+
 def test_signature_rejects_dimensions_not_divisible_by_four():
     pres = RingPresentation((("w", 6, 2),), 6)
     odd_ball = ManifoldModel("W6", pres.one())

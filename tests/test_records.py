@@ -16,6 +16,7 @@ from genuscalc import (
     hp_model,
     solve_bundle,
 )
+from genuscalc.record import FrozenRecord
 
 
 def _assert_frozen(record, field):
@@ -155,3 +156,18 @@ def test_records_copy_and_pickle(clone):
     assert clone(pres) == pres
     series = Series([1, "1/3", "-1/45"])
     assert clone(series) == series
+    for record in (params, solution, pres, series):
+        twin = clone(record)
+        assert twin == record and record == twin and hash(twin) == hash(record)
+
+
+def test_a_record_equals_itself_without_reading_its_fields(monkeypatch):
+    records = (
+        NormalInvariantParams(2, A=1),
+        solve_bundle(2),
+        RingPresentation([("z", 4, 3)], 8),
+        Series([1, "1/3"]),
+    )
+    monkeypatch.setattr(FrozenRecord, "_values", lambda self: pytest.fail("fields were read"))
+    for record in records:
+        assert record == record and not record != record

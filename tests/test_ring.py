@@ -203,11 +203,15 @@ def test_coefficient_extraction_is_linear():
 
 
 def test_elements_from_different_presentations_do_not_mix():
-    a = _s4_hp2().gen("z")
-    other = RingPresentation((("u", 4, 2), ("z", 4, 3)), 16)
-    for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(ValueError, match="ring elements come from different presentations"):
-            op(a, other.gen("z"))
+    hp2 = RingPresentation([("z", 4, 3)], 8)
+    for mine, other in [
+        (_s4_hp2(), RingPresentation((("u", 4, 2), ("z", 4, 3)), 16)),
+        (hp2, RingPresentation([("z", 4, 4)], 12)),
+        (hp2, RingPresentation([("w", 4, 3)], 8)),
+    ]:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="ring elements come from different presentations"):
+                op(mine.gen("z"), other.gen(other.names[-1]))
 
 
 def test_structurally_equal_presentations_interoperate():
@@ -215,6 +219,22 @@ def test_structurally_equal_presentations_interoperate():
     b = _s4_hp2().gen("z")
     assert a == b
     assert a * b == a**2
+    first, second = RingPresentation([("z", 4, 3)], 8), RingPresentation([("z", 4, 3)], 8)
+    assert first is not second and first == second and hash(first) == hash(second)
+    z1, z2 = first.gen("z"), second.gen("z")
+    assert z1 + z2 == first.element({(1,): 2}) and (z1 + z2).presentation is first
+    assert z1 * z2 == second.element({(2,): 1}) and z1 == z2
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5])
+def test_float_coefficients_are_refused(bad):
+    pres = RingPresentation([("z", 4, 3)], 8)
+    with pytest.raises(ValueError, match=f"scalar {bad} is a float"):
+        pres.element({(1,): bad})
+    with pytest.raises(ValueError, match=f"scalar {bad} is a float"):
+        pres.element({(0,): Fraction(1), (1,): bad})
+    exact = pres.element({(0,): 1, (1,): "1/10", (2,): Fraction(1, 3)})
+    assert exact.terms == {(0,): 1, (1,): Fraction(1, 10), (2,): Fraction(1, 3)}
 
 
 def test_exponents_outside_the_presentation_are_rejected():
@@ -237,6 +257,16 @@ def test_non_integer_exponents_are_rejected_not_truncated(build, bad):
     pres = RingPresentation([("z", 4, 3)], 8)
     with pytest.raises(ValueError, match=f"exponent {bad} in \\({bad},\\) is not an integer"):
         build(pres)
+
+
+@pytest.mark.parametrize("exponents", [(1.5,), (1, 0), ()])
+def test_coefficient_refuses_exponent_vectors_with_the_constructors_message(exponents):
+    pres = RingPresentation([("z", 4, 3)], 8)
+    with pytest.raises(ValueError) as built:
+        pres.element({exponents: 1})
+    with pytest.raises(ValueError) as read:
+        pres.one().coefficient(exponents)
+    assert str(read.value) == str(built.value)
 
 
 def test_empty_presentation_is_the_rationals():

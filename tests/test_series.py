@@ -96,6 +96,13 @@ def test_exp_log_preconditions():
         Series([2, 1], 1).log()
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5])
+def test_float_coefficients_are_refused(bad):
+    with pytest.raises(ValueError, match=f"scalar {bad} is a float"):
+        Series([1, bad])
+    assert Series([1, "1/10", Fraction(1, 3), 2]).coefficients[1:] == (Fraction(1, 10), Fraction(1, 3), 2)
+
+
 def test_power_matches_repeated_multiplication():
     a = Series([1, 1], 4)
     by_hand = Series([1], 4)

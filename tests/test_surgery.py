@@ -58,6 +58,14 @@ def test_params_refuse_a_non_integer_n(entry, n):
         entry(n)
 
 
+@pytest.mark.parametrize("field", ["A", "B", "C", "lam"])
+def test_params_refuse_float_parameters(field):
+    with pytest.raises(ValueError, match="scalar 0.1 is a float"):
+        NormalInvariantParams(2, **{field: 0.1})
+    exact = NormalInvariantParams(2, **{field: "1/10"})
+    assert getattr(exact, field) == Fraction(1, 10)
+
+
 def test_params_convert_n_to_an_int():
     class Four:
         def __index__(self):
