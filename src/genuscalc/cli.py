@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .multseq import ahat_genus_table, factored_str, l_genus_table, partition_terms, pont_character
-from .rational import format_rational, parse_rational
+from .rational import _parse_natural, format_rational, parse_rational
 from .series import ahat_genus_series, l_genus_series
 
 # `manifolds` and `surgery` are imported by the handlers that use them, so the
@@ -56,20 +56,18 @@ class _Parser(argparse.ArgumentParser):
         raise CommandError(message)
 
 
-def _rational_arg(text: str):
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument_type(parse):
+    """An argparse type from a parser whose ValueError names the fault."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _nonneg_int_arg(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # more digits than the interpreter converts
-        raise argparse.ArgumentTypeError(f"{len(text)}-digit integer is too large") from None
+_rational_arg = _argument_type(parse_rational)
+_nonneg_int_arg = _argument_type(_parse_natural)
 
 
 def _check_cap(flag: str, value: int, cap: int) -> int:
@@ -118,16 +116,12 @@ def _cmd_genus(args: argparse.Namespace):
     _check_cap("--weight", args.weight, GENUS_MAX_WEIGHT)
     table = _TABLES[args.series](args.weight)
     polys = []
-    for i in range(1, args.weight + 1):
-        poly = table.poly(i)
-        text = factored_str(poly)
+    for i, poly in enumerate(table.polys, start=1):
         terms = [
             {"partition": list(part), "coefficient": format_rational(coeff)}
-            for part, coeff in sorted(
-                partition_terms(poly).items(), key=lambda kv: tuple(-p for p in kv[0])
-            )
+            for part, coeff in partition_terms(poly).items()
         ]
-        polys.append({"weight": i, "text": text, "terms": terms})
+        polys.append({"weight": i, "text": factored_str(poly), "terms": terms})
     payload = {"series": args.series, "weight": args.weight, "polys": polys}
     return [f"K_{p['weight']} = {p['text']}" for p in polys], payload
 

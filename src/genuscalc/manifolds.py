@@ -16,6 +16,7 @@ from itertools import count
 from math import comb, prod
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
+from .rational import _parse_natural
 from .record import FrozenRecord
 from .ring import RingElement, RingPresentation
 from .series import _size
@@ -184,8 +185,8 @@ def _parse_positive_int(body: str, descriptor: str) -> int:
     if not (body.isascii() and body.isdigit()):
         raise ValueError(f"unsupported manifold descriptor {descriptor!r}")
     try:
-        return int(body)
-    except ValueError:  # more digits than the interpreter converts
+        return _parse_natural(body)
+    except ValueError:  # more than 1,000 digits
         raise ValueError(f"manifold size with {len(body)} digits is too large") from None
 
 

@@ -6,7 +6,7 @@ k-th power sum of the formal roots of a total class p = 1 + p_1 + p_2 + ...
 The genus of p is then exp(sum_k c_k s_k), where c_k s_k has weight k.  The
 power sums are read off the log of p itself: s_k = (-1)^{k+1} h_k with
 h_k = k [log p]_k.  So a genus is evaluated in the class's own ring with one
-log-derivative and one exp recurrence from `series`, the Pontryagin
+quotient D(p)/p and one exp recurrence from `series`, the Pontryagin
 character is a rescaling of the h_k, and its inverse is one more exp.  The
 genus polynomials K_1..K_N are the genus of the universal class
 1 + p_1 + ... + p_N in Q[p_1..p_N], graded by |p_i| = 4i; they are built only
@@ -29,7 +29,7 @@ from .series import (
     ahat_genus_series,
     exp_parts,
     l_genus_series,
-    log_derivative_parts,
+    quotient_parts,
 )
 
 __all__ = [
@@ -55,18 +55,16 @@ def _partition_monomial(part: Partition) -> str:
     return "*".join(pieces)
 
 
-def _term_order(part: Partition) -> tuple:
-    # ascending weight, then descending lexicographic within a weight
-    return (sum(part), tuple(-p for p in part))
-
-
 def partition_terms(poly: RingElement) -> dict[Partition, Fraction]:
     """Terms of a polynomial in p_1..p_N keyed by partitions: the monomial
-    p_1^{e_1} ... p_N^{e_N} becomes e_i parts equal to i, largest parts first."""
-    return {
+    p_1^{e_1} ... p_N^{e_N} becomes e_i parts equal to i, largest parts first.
+    The terms come in display order: ascending weight, then descending
+    lexicographic within a weight."""
+    terms = {
         tuple(i for i in range(len(exps), 0, -1) for _ in range(exps[i - 1])): c
         for exps, c in poly.terms.items()
     }
+    return {p: terms[p] for p in sorted(terms, key=lambda p: (sum(p), [-i for i in p]))}
 
 
 def factored_str(poly: RingElement) -> str:
@@ -76,8 +74,7 @@ def factored_str(poly: RingElement) -> str:
     if not terms:
         return "0"
     denom = lcm(*(c.denominator for c in terms.values()))
-    ordered = sorted(terms.items(), key=lambda kv: _term_order(kv[0]))
-    pairs = [(c * denom, _partition_monomial(p)) for p, c in ordered]
+    pairs = [(c * denom, _partition_monomial(p)) for p, c in terms.items()]
     body = signed_sum(pairs)
     if denom == 1:
         return body
@@ -236,7 +233,7 @@ def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
             f"genus table of weight {table.max_weight} cannot cover a ring "
             f"truncated at degree {pres.top_degree}"
         )
-    graded = log_derivative_parts(parts)
+    graded = quotient_parts([p * k for k, p in enumerate(parts)], parts)
     c = table.log_coefficients
     for k in range(1, needed + 1):
         graded[k] = graded[k] * ((-1) ** (k + 1) * k * c[k])
@@ -257,7 +254,7 @@ def pont_character(total_class: RingElement, max_weight: int) -> list[RingElemen
     pres = total_class.presentation
     weight = min(max_weight, pres.top_degree // 4)
     parts = _unit_class_parts(total_class, weight)
-    graded = log_derivative_parts(parts)
+    graded = quotient_parts([p * k for k, p in enumerate(parts)], parts)
     out = [graded[k] * Fraction(2 * (-1) ** (k + 1), factorial(2 * k)) for k in range(1, weight + 1)]
     return out + [pres.zero()] * (max_weight - weight)
 
@@ -274,8 +271,7 @@ def pont_classes_from_character(character: list[RingElement]) -> RingElement:
         raise ValueError("need at least one character component")
     pres = components[0].presentation
     for i, comp in enumerate(components, start=1):
-        if comp.presentation != pres:
-            raise ValueError("character components come from different presentations")
+        pres._check_member(comp)
         d = 4 * i
         if comp and (d > pres.top_degree or comp.homogeneous_part(d) != comp):
             raise ValueError(f"component {i} is not homogeneous of degree {d}")

@@ -12,10 +12,21 @@ from fractions import Fraction
 
 __all__ = ["format_rational", "parse_rational"]
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?")
 # A surgery result can carry ~4x the digits of its inputs, and the interpreter
 # prints no integer past 4,300 digits; at this bound results stay below that.
 _MAX_DIGITS = 1000
+
+
+def _parse_natural(text: str) -> int:
+    """A nonnegative integer in ASCII decimal digits, at most 1,000 of them;
+    longer text is refused before `int` sees it, so no interpreter setting
+    decides what is accepted or how long the message is."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
+    if len(text) > _MAX_DIGITS:
+        raise ValueError(f"{len(text)}-digit integer is too large")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -26,13 +37,12 @@ def parse_rational(text: str) -> Fraction:
     (floats, letters, other digit scripts, zero denominators, longer
     integers) is rejected.
     """
-    s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if not match:
         raise ValueError(f"malformed rational {text!r}, expected num or num/den")
-    digits = max(len(part.lstrip("+-")) for part in s.split("/"))
-    if digits > _MAX_DIGITS:
-        raise ValueError(f"{digits}-digit integer is too large")
-    return Fraction(s)
+    sign, num, den = match.groups()
+    value = Fraction(_parse_natural(num), _parse_natural(den or "1"))
+    return -value if sign == "-" else value
 
 
 def format_rational(value: Fraction | int) -> str:

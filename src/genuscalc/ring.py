@@ -18,14 +18,14 @@ from operator import add, ge, index, mul
 
 from .formatting import signed_sum
 from .record import FrozenRecord
-from .series import _power, _rational, _size, inverse_parts
+from .series import _power, _rational, _size, quotient_parts
 
 __all__ = ["RingElement", "RingPresentation"]
 
 
 def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
-    """An exponent vector as a tuple of `ngens` ints: a non-integer exponent
-    is named, never truncated."""
+    """An exponent vector as a tuple of `ngens` nonnegative ints: a
+    non-integer exponent is named, never truncated."""
     try:
         key = tuple(map(index, exponents))
     except TypeError:
@@ -33,6 +33,8 @@ def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
         raise ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer") from None
     if len(key) != ngens:
         raise ValueError(f"exponent vector {key} does not match {ngens} generators")
+    if key and min(key) < 0:
+        raise ValueError(f"negative exponent in {key}")
     return key
 
 
@@ -128,8 +130,6 @@ class RingElement:
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in dict(terms).items():
             key = _exponent_vector(exps, ngens)
-            if key and min(key) < 0:
-                raise ValueError(f"negative exponent in {key}")
             c = coeff if type(coeff) is Fraction else _rational(coeff)
             if not c or any(map(ge, key, nils)) or sum(map(mul, key, degrees)) > top:
                 continue  # zero, a generator power that collapses, or beyond the top degree
@@ -216,15 +216,18 @@ class RingElement:
         """Multiplicative inverse of a unit (nonzero constant term).
 
         Every monomial degree is a multiple of the gcd g of the generator
-        degrees, so the inverse is built from the parts of degree 0, g, 2g, ...
-        by the graded recurrence of `inverse_parts`.
+        degrees, so the inverse is the quotient of 1 by the parts of degree
+        0, g, 2g, ..., scaled first by 1/c when the constant term c is not 1.
         """
         c = self.constant_term()
         if not c:
             raise ValueError("element with zero constant term is not invertible")
         step = gcd(*self._pres.degrees) or 1
         parts = [self.homogeneous_part(d) for d in range(0, self._pres.top_degree + 1, step)]
-        return self._pres._sum(inverse_parts(parts, c))
+        inv = 1 / c
+        parts = [p * inv for p in parts] if inv != 1 else parts
+        num = [parts[0] * inv] + [self._pres.zero()] * (len(parts) - 1)
+        return self._pres._sum(quotient_parts(num, parts))
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
         pieces = []

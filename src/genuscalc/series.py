@@ -1,5 +1,5 @@
-"""Truncated univariate power series over exact rationals, and the graded
-inverse, log and exp recurrences and the repeated-squaring power that every
+"""Truncated univariate power series over exact rationals, and the two graded
+recurrences, quotient and exp, and the repeated-squaring power that every
 truncated algebra here shares.
 
 Also builds the two characteristic series driving everything else: the
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from operator import index
 
@@ -43,40 +44,31 @@ def _rational(value) -> Fraction:
 # is a derivation (Brent and Kung, J. ACM 1978).
 
 
-def _convolve(a: Sequence, b: Sequence, n: int):
-    """sum_{k=1..n} a_k b_{n-k}, skipping zero factors; ring products are
+def _convolve(a: Sequence, b: Sequence, n: int, start):
+    """start + sum_{k=1..n} a_k b_{n-k}, skipping zero factors; ring terms are
     added by their ring's one-construction sum, Fractions by `sum`."""
     products = (a[k] * b[n - k] for k in range(1, n + 1) if a[k] and b[n - k])
-    if isinstance(b[0], Fraction):
-        return sum(products, Fraction(0))
-    return b[0].presentation._sum(products)
+    if isinstance(start, Fraction):
+        return sum(products, start)
+    return start.presentation._sum(chain((start,), products))
 
 
-def inverse_parts(parts: Sequence, c0: Fraction) -> list:
-    """Parts b_0..b_N of the inverse of a_0 + ... + a_N, where a_0 = c0 * 1:
-    b_0 = 1/c0 and b_n = -(1/c0) sum_{k=1..n} a_k b_{n-k}."""
-    inv = 1 / Fraction(c0)
-    out = [parts[0] * (inv * inv)]
-    for n in range(1, len(parts)):
-        out.append(_convolve(parts, out, n) * -inv)
-    return out
-
-
-def log_derivative_parts(parts: Sequence) -> list:
-    """Parts h_0..h_N of D(log a) for a = 1 + a_1 + ... + a_N, so h_n = n [log a]_n:
-    h_0 = 0 and h_n = n a_n - sum_{k=1..n-1} h_k a_{n-k}."""
-    out = [parts[0] * 0]
-    for n in range(1, len(parts)):
-        out.append(parts[n] * n - _convolve(parts, out, n))
+def quotient_parts(num: Sequence, den: Sequence) -> list:
+    """Parts q_0..q_N of num / den, den_0 = 1: q_n = num_n - sum_{k=1..n} den_k q_{n-k}.
+    So 1/a is the quotient of 1 by a, and D(log a) that of D(a) by a."""
+    neg = [-d for d in den]
+    out: list = []
+    for n in range(len(num)):
+        out.append(_convolve(neg, out, n, num[n]))
     return out
 
 
 def exp_parts(graded: Sequence, one) -> list:
-    """Parts e_0..e_N of exp(f) from the parts h_0..h_N of D(f), h_0 ignored:
-    e_0 = 1 and n e_n = sum_{k=1..n} h_k e_{n-k}."""
+    """Parts e_0..e_N of exp(f) from the parts h_0..h_N of D(f), whose h_0 is
+    zero and starts each sum: e_0 = 1 and n e_n = sum_{k=1..n} h_k e_{n-k}."""
     out = [one]
     for n in range(1, len(graded)):
-        out.append(_convolve(graded, out, n) * Fraction(1, n))
+        out.append(_convolve(graded, out, n, graded[0]) * Fraction(1, n))
     return out
 
 
@@ -127,7 +119,7 @@ class Series(FrozenRecord):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coefficients, other.coefficients
-        return Series([a[0] * b[k] + _convolve(a, b, k) for k in range(n + 1)], n)
+        return Series([_convolve(a, b, k, a[0] * b[k]) for k in range(n + 1)], n)
 
     def __pow__(self, exponent: int) -> Series:
         return _power(Series([1], self.order), self, exponent)
@@ -137,7 +129,8 @@ class Series(FrozenRecord):
         c0 = self.coefficients[0]
         if not c0:
             raise ValueError("series with zero constant term is not invertible")
-        return Series(inverse_parts(self.coefficients, c0), self.order)
+        num = [1 / c0] + [Fraction(0)] * self.order
+        return Series(quotient_parts(num, [c / c0 for c in self.coefficients]), self.order)
 
     def exp(self) -> Series:
         """Exponential of a series with zero constant term."""
@@ -150,7 +143,7 @@ class Series(FrozenRecord):
         """Logarithm of a series with constant term 1."""
         if self.coefficients[0] != 1:
             raise ValueError("log requires constant term 1")
-        graded = log_derivative_parts(self.coefficients)
+        graded = quotient_parts([k * c for k, c in enumerate(self.coefficients)], self.coefficients)
         return Series([0] + [h / k for k, h in enumerate(graded[1:], 1)], self.order)
 
     def __repr__(self) -> str:
@@ -164,9 +157,9 @@ def l_genus_series(order: int) -> Series:
     i.e. [sum z^k/(2k)!] / [sum z^k/(2k+1)!].
     """
     order = _size(order, "series order")
-    num = Series([Fraction(1, factorial(2 * k)) for k in range(order + 1)], order)
-    den = Series([Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)], order)
-    return num * den.inverse()
+    num = [Fraction(1, factorial(2 * k)) for k in range(order + 1)]
+    den = [Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)]
+    return Series(quotient_parts(num, den), order)
 
 
 def ahat_genus_series(order: int) -> Series:

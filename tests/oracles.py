@@ -6,8 +6,8 @@ convolutions, Bernoulli numbers come from two schemes checked against each
 other, binomial series are summed term by term from math.comb, and genera
 and characters are evaluated by substituting ring classes into every
 partition monomial.  The last section is the exception: it keeps routes the
-package used before a closed form replaced them, as references for those
-closed forms.
+package used before a closed form or a shared recurrence replaced them, as
+references for what replaced them.
 """
 
 from __future__ import annotations
@@ -307,3 +307,41 @@ def product_tangent_by_embedding(pres, first, second):
         })
 
     return embed(first, 0) * embed(second, first.presentation.ngens)
+
+
+def _former_convolve(a, b, n: int):
+    """sum_{k=1..n} a_k b_{n-k}, skipping zero factors, with b_0 naming the
+    algebra: ring products are added by the ring's one-construction sum."""
+    products = (a[k] * b[n - k] for k in range(1, n + 1) if a[k] and b[n - k])
+    if isinstance(b[0], Fraction):
+        return sum(products, Fraction(0))
+    return b[0].presentation._sum(products)
+
+
+def inverse_parts(parts, c0) -> list:
+    """Parts b_0..b_N of the inverse of a_0 + ... + a_N, where a_0 = c0 * 1:
+    b_0 = 1/c0 and b_n = -(1/c0) sum_{k=1..n} a_k b_{n-k}."""
+    inv = 1 / Fraction(c0)
+    out = [parts[0] * (inv * inv)]
+    for n in range(1, len(parts)):
+        out.append(_former_convolve(parts, out, n) * -inv)
+    return out
+
+
+def log_derivative_parts(parts) -> list:
+    """Parts h_0..h_N of D(log a) for a = 1 + a_1 + ... + a_N, so h_n = n [log a]_n:
+    h_0 = 0 and h_n = n a_n - sum_{k=1..n-1} h_k a_{n-k}."""
+    out = [parts[0] * 0]
+    for n in range(1, len(parts)):
+        out.append(parts[n] * n - _former_convolve(parts, out, n))
+    return out
+
+
+def l_genus_series_by_inverse(order: int):
+    """sqrt(z)/tanh(sqrt(z)) to z^order as cosh(t) times the `Series` inverse
+    of sinh(t)/t, t^2 = z: one inverse and one product instead of a quotient."""
+    from genuscalc.series import Series
+
+    num = Series([Fraction(1, factorial(2 * k)) for k in range(order + 1)], order)
+    den = Series([Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)], order)
+    return num * den.inverse()

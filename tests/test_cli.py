@@ -428,6 +428,9 @@ _N_CAP = MODEL_MAX_WEIGHT - 1
         *(([command, "--n", "2", "--A", "9" * 4000, "--lambda", "9" * 4000, *fmt],
            "argument --A: 4000-digit integer is too large")
           for command, fmt in [("surgery", []), ("surgery", ["--format", "json"]), ("pontryagin", [])]),
+        (["genus", "--series", "L", "--weight", "9" + _WIDEST], "argument --weight: 1001-digit integer is too large"),
+        (["surgery", "--n", "9" + _WIDEST], "argument --n: 1001-digit integer is too large"),
+        (["manifold", "--descriptor", "hp:9" + _WIDEST], "manifold size with 1001 digits is too large"),
     ],
 )
 def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
@@ -436,6 +439,22 @@ def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == ""
     assert err == f"genuscalc: error: {message}\n"
+
+
+def test_integer_arguments_are_capped_whatever_the_interpreter_allows():
+    # with the interpreter's own limit off, int() would convert and the
+    # refusal would echo all 100,000 digits
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "genuscalc", "surgery", "--n", "9" * 100_000],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "genuscalc: error: argument --n: 100000-digit integer is too large\n"
+    assert len(proc.stderr.encode()) < 100
 
 
 @pytest.mark.parametrize("flag", ["--A", "--B", "--C", "--lambda"])

@@ -49,6 +49,20 @@ def test_partition_terms_cover_every_partition_of_the_weight():
             assert sorted(partition_terms(table.poly(n)), reverse=True) == list(partitions(n))
 
 
+def test_partition_terms_come_in_display_order():
+    ring = _pontryagin_ring(3)
+    p1, p2, p3 = (ring.gen(f"p{i}") for i in range(1, 4))
+    mixed = p3 + p1**3 + p1 + p2 * p1 + p1**2 + p2
+    assert list(partition_terms(mixed)) == [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    assert factored_str(mixed) == "p1 + p2 + p1^2 + p3 + p2*p1 + p1^3"
+    # each K_i is homogeneous, so within it the order is the descending
+    # lexicographic one the genus command lists
+    for table in (l_genus_table(16), ahat_genus_table(16)):
+        for poly in table.polys:
+            terms = list(partition_terms(poly))
+            assert terms == sorted(terms, key=lambda part: tuple(-p for p in part))
+
+
 def power_sums(max_weight):
     """Power sums s_1..s_N of the roots of the universal class 1 + p_1 + ... + p_N
     in Q[p_1..p_N], read off its Pontryagin character as s_k = (2k)!/2 ph_k."""
@@ -406,6 +420,17 @@ def test_character_components_must_be_homogeneous():
         pont_classes_from_character([pres.one()])
     with pytest.raises(ValueError):
         pont_classes_from_character([])
+
+
+@pytest.mark.parametrize("foreign", ["nonzero", "zero"])
+def test_character_components_must_share_one_presentation(foreign):
+    # a zero component adds nothing to the ring's products, which skip zero
+    # factors, so only the explicit check refuses it
+    pres = RingPresentation((("u", 4, 2), ("z", 4, 3)), 12)
+    other = RingPresentation((("u", 4, 2), ("z", 4, 4)), 16)
+    second = other.gen("u") * other.gen("z") if foreign == "nonzero" else other.zero()
+    with pytest.raises(ValueError, match="^ring elements come from different presentations$"):
+        pont_classes_from_character([pres.gen("u"), second])
 
 
 def test_pont_character_requires_unit_constant_term():

@@ -3,11 +3,19 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from genuscalc import RingPresentation, hp_model
-from oracles import naive_reduced_product, nonzero_fraction, random_fraction
+from genuscalc.series import quotient_parts
+from oracles import (
+    inverse_parts,
+    log_derivative_parts,
+    naive_reduced_product,
+    nonzero_fraction,
+    random_fraction,
+)
 
 
 def _s4_hp2():
@@ -168,6 +176,30 @@ def test_inverse_multiplies_back_to_one():
         assert a * a.inverse() == pres.one()
 
 
+# S^4 x HP^n for n <= 8, whose parts step by 4, and a ring with degree-2
+# generators, whose parts step by the gcd 2
+_QUOTIENT_RINGS = [
+    *(RingPresentation((("u", 4, 2), ("z", 4, n + 1)), 4 * n + 4) for n in range(1, 9)),
+    RingPresentation((("a", 2, 4), ("b", 2, 3), ("c", 4, 2)), 10),
+]
+
+
+@pytest.mark.parametrize("pres", _QUOTIENT_RINGS, ids=[*(f"S4xHP{n}" for n in range(1, 9)), "degree-2"])
+def test_quotient_route_matches_the_former_ring_inverse_and_log_derivative(pres):
+    rng = random.Random(pres.top_degree)
+    step = gcd(*pres.degrees)
+    for constant in (Fraction(1), Fraction(-3, 7), nonzero_fraction(rng)):
+        for _ in range(3):
+            terms = _random_element(rng, pres).terms
+            terms[(0,) * pres.ngens] = constant
+            a = pres.element(terms)
+            parts = [a.homogeneous_part(d) for d in range(0, pres.top_degree + 1, step)]
+            assert a.inverse() == pres._sum(inverse_parts(parts, constant))
+            if constant == 1:
+                graded = quotient_parts([p * k for k, p in enumerate(parts)], parts)
+                assert graded == log_derivative_parts(parts)
+
+
 def test_inverse_requires_a_unit():
     pres = _s4_hp2()
     with pytest.raises(ValueError):
@@ -259,7 +291,7 @@ def test_non_integer_exponents_are_rejected_not_truncated(build, bad):
         build(pres)
 
 
-@pytest.mark.parametrize("exponents", [(1.5,), (1, 0), ()])
+@pytest.mark.parametrize("exponents", [(1.5,), (1, 0), (), (-1,)])
 def test_coefficient_refuses_exponent_vectors_with_the_constructors_message(exponents):
     pres = RingPresentation([("z", 4, 3)], 8)
     with pytest.raises(ValueError) as built:

@@ -7,7 +7,16 @@ from math import factorial
 import pytest
 
 from genuscalc import Series, ahat_genus_series, l_genus_series
-from oracles import bernoulli, binomial_inverse_product, random_fraction
+from genuscalc.series import quotient_parts
+from oracles import (
+    bernoulli,
+    binomial_inverse_product,
+    inverse_parts,
+    l_genus_series_by_inverse,
+    log_derivative_parts,
+    nonzero_fraction,
+    random_fraction,
+)
 
 
 def _random_series(rng, order, unit=False):
@@ -56,6 +65,34 @@ def test_inverse_multiplies_back_to_one():
         while not a.coefficients[0]:
             a = _random_series(rng, order)
         assert a * a.inverse() == Series([1], order)
+
+
+def test_quotient_route_matches_the_former_inverse_and_log_routes():
+    rng = random.Random(1978)
+    for order in range(31):
+        for c0 in (Fraction(1), nonzero_fraction(rng)):
+            coeffs = [c0] + [random_fraction(rng) for _ in range(order)]
+            a = Series(coeffs, order)
+            assert a.inverse().coefficients == tuple(inverse_parts(coeffs, c0))
+            graded = [k * c for k, c in enumerate(coeffs)]
+            if c0 == 1:
+                former = log_derivative_parts(coeffs)
+                assert quotient_parts(graded, coeffs) == former
+                assert a.log().coefficients == (0, *(h / k for k, h in enumerate(former[1:], 1)))
+            unit = [c / c0 for c in coeffs]
+            quotient = Series(quotient_parts(graded, unit), order)
+            assert quotient == Series(graded, order) * Series(unit, order).inverse()
+
+
+def test_l_series_quotient_matches_the_former_product_with_an_inverse():
+    # q_0..q_W of a quotient depend only on parts 0..W, so each series of
+    # order W <= 150 is a truncation of the one of order 150
+    full = l_genus_series(150)
+    assert full == l_genus_series_by_inverse(150)
+    for weight in [*range(31), 75, 149]:
+        assert l_genus_series(weight).coefficients == full.coefficients[: weight + 1]
+    for weight in range(31):
+        assert l_genus_series(weight) == l_genus_series_by_inverse(weight)
 
 
 def test_inverse_needs_nonzero_constant_term():
