@@ -57,8 +57,8 @@ def quotient_parts(num: Sequence, den: Sequence) -> list:
     """Parts q_0..q_N of num / den, den_0 = 1: q_n = num_n - sum_{k=1..n} den_k q_{n-k}.
     So 1/a is the quotient of 1 by a, and D(log a) that of D(a) by a."""
     neg = [-d for d in den]
-    out: list = []
-    for n in range(len(num)):
+    out = [num[0]]
+    for n in range(1, len(num)):
         out.append(_convolve(neg, out, n, num[n]))
     return out
 
