@@ -27,7 +27,7 @@ _RATIONAL_FLAGS = ("--A", "--B", "--C", "--lambda")
 
 # Largest --weight each subcommand accepts; both finish in well under a second
 # at the cap, and the cost grows quickly past it.  On a 2-vCPU VM, cold
-# `coeff --weight 150` takes ~0.3 s and cold `genus --weight 16` ~0.1 s, of
+# `coeff --weight 150` takes ~0.25 s and cold `genus --weight 16` ~0.1 s, of
 # which building K_1..K_16 is ~18 ms.
 COEFF_MAX_WEIGHT = 150
 GENUS_MAX_WEIGHT = 16
