@@ -8,6 +8,7 @@ Errors of any kind exit nonzero after a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -26,21 +27,9 @@ _REPORTS = ("pontryagin", "signature", "ahat")
 _RATIONAL_FLAGS = ("--A", "--B", "--C", "--lambda")
 
 # Largest --weight each subcommand accepts; both finish in well under a second
-# at the cap, and the cost grows quickly past it.  On a 2-vCPU VM, cold
-# `coeff --weight 150` takes ~0.25 s and cold `genus --weight 16` ~0.1 s, of
-# which building K_1..K_16 is ~18 ms.
+# at the cap, and the cost grows quickly past it.
 COEFF_MAX_WEIGHT = 150
 GENUS_MAX_WEIGHT = 16
-
-
-def __getattr__(name: str):
-    # `from genuscalc.cli import MODEL_MAX_WEIGHT` keeps working without
-    # loading `manifolds` on every import
-    if name == "MODEL_MAX_WEIGHT":
-        from .manifolds import MODEL_MAX_WEIGHT
-
-        return MODEL_MAX_WEIGHT
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CommandError(Exception):
@@ -54,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
             if message == f"argument {flag}: expected one argument":
                 message += f" (write a negative value as {flag}=-num/den)"
         raise CommandError(message)
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # after --help or --version, so a closed stdout fails in `run`
+        super().exit(status, message)
 
 
 def _argument_type(parse):
@@ -233,7 +226,19 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         lines, payload = args.handler(args)
-    except (CommandError, ValueError, RuntimeError) as exc:
+        if args.format == "json":
+            import json
+
+            lines = [json.dumps(payload, indent=2)]
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except (CommandError, ValueError, RuntimeError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # nobody reads stdout: send what is left, and the final flush, nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         # argparse quotes unrecognized arguments raw; keep the diagnostic one line
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         print(f"genuscalc: error: {message}", file=sys.stderr)
@@ -241,13 +246,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse --help and --version
         code = exc.code
         return 0 if code is None else int(code)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
     return 0
 
 

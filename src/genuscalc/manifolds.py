@@ -4,7 +4,7 @@ A `ManifoldModel` is a name and the total Pontryagin class of the tangent
 bundle.  The class's truncated cohomology ring determines the fundamental
 monomial, against which characteristic numbers are read off, and with it the
 dimension.  The catalog covers quaternionic projective spaces, spheres of
-dimension divisible by four, a point, and finite products of these.
+dimension divisible by four, and finite products of these.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ from itertools import count
 from math import comb, prod
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
-from .rational import _parse_natural
+from .rational import _parse_natural, _size
 from .record import FrozenRecord
 from .ring import RingElement, RingPresentation
-from .series import _size
 
 __all__ = [
     "ManifoldModel",
     "a_hat_genus",
     "hp_model",
     "parse_descriptor",
-    "point_model",
     "product_model",
     "signature",
     "sphere_model",
@@ -97,11 +95,6 @@ def sphere_model(k: int = 4) -> ManifoldModel:
     if k < 4 or k % 4:
         raise ValueError(f"sphere dimension must be a positive multiple of 4, got {k}")
     return ManifoldModel(f"S{k}", RingPresentation((("u", k, 2),), k).one())
-
-
-def point_model() -> ManifoldModel:
-    """A point: the trivial ring, tangent class 1, empty fundamental monomial."""
-    return ManifoldModel("pt", RingPresentation((), 0).one())
 
 
 def _product_names(first: tuple[str, ...], second: tuple[str, ...]) -> list[str]:

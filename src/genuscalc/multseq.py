@@ -22,15 +22,9 @@ from itertools import groupby
 from math import factorial, gcd, lcm
 
 from .formatting import signed_sum
+from .rational import _size
 from .ring import RingElement, RingPresentation
-from .series import (
-    Series,
-    _size,
-    ahat_genus_series,
-    exp_parts,
-    l_genus_series,
-    quotient_parts,
-)
+from .series import Series, ahat_genus_series, exp_parts, l_genus_series, quotient_parts
 
 __all__ = [
     "GenusTable",

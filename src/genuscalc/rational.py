@@ -1,14 +1,17 @@
-"""Exact rational scalars: parsing and formatting.
+"""Exact rational scalars: parsing and formatting, and the rules for every
+number that comes from outside the package.
 
 Every computation in this package runs on `fractions.Fraction`.  Results
 are always in canonical reduced form with a positive denominator; nothing is
-ever rounded.
+ever rounded.  Sizes must be integers, scalars must not be floats, and text
+has at most 1,000 digits per integer.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import index
 
 __all__ = ["format_rational", "parse_rational"]
 
@@ -16,6 +19,22 @@ _RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?")
 # A surgery result can carry ~4x the digits of its inputs, and the interpreter
 # prints no integer past 4,300 digits; at this bound results stay below that.
 _MAX_DIGITS = 1000
+
+
+def _size(value, what: str) -> int:
+    """A size as an int, refused rather than truncated when it is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _rational(value) -> Fraction:
+    """A scalar as a Fraction, refused when it is a float, whose binary value
+    is seldom the rational meant."""
+    if isinstance(value, float):
+        raise ValueError(f"scalar {value!r} is a float; give an int, a Fraction or 'num/den'")
+    return Fraction(value)
 
 
 def _parse_natural(text: str) -> int:

@@ -17,8 +17,9 @@ from math import gcd
 from operator import add, ge, index, mul
 
 from .formatting import signed_sum
+from .rational import _rational, _size
 from .record import FrozenRecord
-from .series import _power, _rational, _size, quotient_parts
+from .series import _power, quotient_parts
 
 __all__ = ["RingElement", "RingPresentation"]
 
@@ -189,7 +190,11 @@ class RingElement:
         return self + (-other)
 
     def __neg__(self) -> RingElement:
-        return RingElement(self._pres, {e: -c for e, c in self._terms.items()})
+        # the terms are reduced already, and so are their negatives
+        neg = object.__new__(RingElement)
+        neg._pres = self._pres
+        neg._terms = {e: -c for e, c in self._terms.items()}
+        return neg
 
     def __mul__(self, other):
         if isinstance(other, RingElement):

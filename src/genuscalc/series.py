@@ -15,27 +15,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from math import factorial
-from operator import index
 
+from .rational import _rational, _size
 from .record import FrozenRecord
 
 __all__ = ["Series", "ahat_genus_series", "l_genus_series"]
-
-
-def _size(value, what: str) -> int:
-    """A size as an int, refused rather than truncated when it is not an integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _rational(value) -> Fraction:
-    """A scalar as a Fraction, refused when it is a float, whose binary value
-    is seldom the rational meant."""
-    if isinstance(value, float):
-        raise ValueError(f"scalar {value!r} is a float; give an int, a Fraction or 'num/den'")
-    return Fraction(value)
 
 
 # The recurrences below act on the homogeneous parts a_0..a_N of an element

@@ -17,9 +17,9 @@ from math import factorial, gcd, lcm
 
 from .manifolds import ManifoldModel, hp_model, product_model, signature, sphere_model
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
+from .rational import _rational, _size
 from .record import FrozenRecord
 from .ring import RingElement
-from .series import _rational, _size
 
 __all__ = [
     "BundleSolution",

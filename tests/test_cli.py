@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import genuscalc
-from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, MODEL_MAX_WEIGHT, run
+from genuscalc.cli import COEFF_MAX_WEIGHT, GENUS_MAX_WEIGHT, run
+from genuscalc.manifolds import MODEL_MAX_WEIGHT
 
 _HUGE = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
 _WIDEST = "9" * 1000  # the most digits a rational argument may have
@@ -551,3 +552,38 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "K_1 = p1/3\nK_2 = (7*p2 - p1^2)/45\n"
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, buffered",
+    [
+        (["genus", "--series", "L", "--weight", "10"], True),
+        (["genus", "--series", "L", "--weight", "10"], False),
+        (["coeff", "--series", "L", "--weight", "1", "--format", "json"], True),
+        (["coeff", "--series", "L", "--weight", "1", "--format", "json"], False),
+        # unbuffered, argparse drops a failed write of its help text and exits 0
+        (["--help"], True),
+    ],
+)
+def test_a_closed_stdout_exits_with_one_diagnostic_line(argv, buffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout, or its flush when buffered, meets a broken pipe
+    package_root = str(Path(genuscalc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = package_root
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "genuscalc", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "genuscalc: error: [Errno 32] Broken pipe\n"

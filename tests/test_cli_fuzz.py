@@ -10,7 +10,8 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genuscalc.cli import COEFF_MAX_WEIGHT, MODEL_MAX_WEIGHT, run
+from genuscalc.cli import COEFF_MAX_WEIGHT, run
+from genuscalc.manifolds import MODEL_MAX_WEIGHT
 
 SETTINGS = settings(max_examples=200, deadline=None)
 

@@ -14,7 +14,6 @@ from genuscalc import (
     a_hat_genus,
     hp_model,
     parse_descriptor,
-    point_model,
     product_model,
     signature,
     sphere_model,
@@ -95,7 +94,7 @@ def test_sphere_model_rejects_bad_dimensions():
 
 
 def test_point_model_integrates_constants():
-    pt = point_model()
+    pt = ManifoldModel("pt", RingPresentation((), 0).one())
     assert pt.dimension == 0
     assert signature(pt) == 1
     assert a_hat_genus(pt) == 1
@@ -147,7 +146,7 @@ def test_genera_of_s4_x_hpn_vanish():
 
 def test_product_with_point_changes_nothing():
     hp2 = hp_model(2)
-    prod = product_model(point_model(), hp2)
+    prod = product_model(ManifoldModel("pt", RingPresentation((), 0).one()), hp2)
     assert prod.dimension == hp2.dimension
     assert signature(prod) == signature(hp2)
     assert a_hat_genus(prod) == a_hat_genus(hp2)

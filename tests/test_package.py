@@ -72,7 +72,7 @@ def test_genus_and_coeff_load_neither_surgery_nor_manifolds(command):
 
 def test_layers_load_on_first_use_of_a_package_attribute():
     names = _public_names()
-    assert len(names) == 32
+    assert len(names) == 31
     listed = json.loads(_fresh_interpreter(
         "import json, sys, genuscalc; "
         "before = sorted(m for m in sys.modules if m.startswith('genuscalc.')); "
@@ -85,18 +85,6 @@ def test_layers_load_on_first_use_of_a_package_attribute():
         f"print(json.dumps(sorted(set({names!r}) & set(globals()))))"
     ))
     assert bound == names
-
-
-def test_cli_still_exports_the_model_cap():
-    from genuscalc.cli import MODEL_MAX_WEIGHT
-    from genuscalc.manifolds import MODEL_MAX_WEIGHT as cap
-
-    assert MODEL_MAX_WEIGHT == cap == 48
-    loaded = _fresh_interpreter(
-        "import sys; from genuscalc.cli import MODEL_MAX_WEIGHT; "
-        "print(MODEL_MAX_WEIGHT, 'genuscalc.surgery' in sys.modules)"
-    )
-    assert loaded == "48 False"
 
 
 def _module_trees():
@@ -136,15 +124,22 @@ def test_every_import_is_used_or_exported():
 
 
 def test_every_private_module_level_helper_is_referenced():
+    # a helper is referenced in its own module, or in one that imports it from there
+    trees = dict(_module_trees())
+    used = {filename: _names_used(tree) for filename, tree in trees.items()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported = {alias.name for alias in node.names}
+                used[f"{node.module}.py"] |= imported & _names_used(tree)
     dead = []
-    for filename, tree in _module_trees():
-        used = _names_used(tree)
+    for filename, tree in trees.items():
         for node in tree.body:
             if (
                 isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and node.name.startswith("_")
                 and not node.name.startswith("__")
-                and node.name not in used
+                and node.name not in used[filename]
             ):
                 dead.append(f"{filename}: {node.name}")
     assert dead == []

@@ -7,7 +7,15 @@ from math import gcd
 
 import pytest
 
-from genuscalc import RingPresentation, hp_model
+from genuscalc import (
+    NormalInvariantParams,
+    RingElement,
+    RingPresentation,
+    evaluate_genus,
+    hp_model,
+    l_genus_table,
+    xi_total_class,
+)
 from genuscalc.series import quotient_parts
 from oracles import (
     inverse_parts,
@@ -198,6 +206,36 @@ def test_quotient_route_matches_the_former_ring_inverse_and_log_derivative(pres)
             if constant == 1:
                 graded = quotient_parts([p * k for k, p in enumerate(parts)], parts)
                 assert graded == log_derivative_parts(parts)
+
+
+def test_negation_matches_the_checked_route():
+    rng = random.Random(31)
+    for pres in (_s4_hp2(), *_QUOTIENT_RINGS[-2:]):
+        for _ in range(20):
+            a = _random_element(rng, pres)
+            before = a.terms
+            neg = -a
+            assert neg == pres.element({e: -c for e, c in before.items()})
+            assert neg.terms == {e: -c for e, c in before.items()}
+            assert a.terms == before and (neg + a) == pres.zero() and -neg == a
+
+
+def test_inverse_of_the_bundle_genus_builds_few_elements(monkeypatch):
+    # a negation copies reduced terms instead of constructing a new element
+    params = NormalInvariantParams(6, A=1, C=1)
+    genus = evaluate_genus(l_genus_table(7), xi_total_class(params))
+    constructions = []
+    checked_init = RingElement.__init__
+
+    def counting_init(self, *args):
+        constructions.append(1)
+        checked_init(self, *args)
+
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
+    inverse = genus.inverse()
+    monkeypatch.undo()
+    assert len(constructions) < 29
+    assert genus * inverse == genus.presentation.one()
 
 
 def test_inverse_requires_a_unit():
