@@ -44,9 +44,9 @@ class _Parser(argparse.ArgumentParser):
                 message += f" (write a negative value as {flag}=-num/den)"
         raise CommandError(message)
 
-    def exit(self, status=0, message=None):
-        sys.stdout.flush()  # after --help or --version, so a closed stdout fails in `run`
-        super().exit(status, message)
+    def _print_message(self, message, file=None):
+        # argparse swallows a failed write; flushing here lets a closed stdout fail in `run`
+        print(message, end="", file=file or sys.stderr, flush=True)
 
 
 def _argument_type(parse):

@@ -36,8 +36,7 @@ class ManifoldModel(FrozenRecord):
 
     The ring is the tangent class's, and the fundamental monomial is the
     product of each generator's highest surviving power; the ring must be
-    truncated exactly at that monomial's degree, the dimension.  Models
-    compare and hash by identity, not by value.
+    truncated exactly at that monomial's degree, the dimension.
     """
 
     __slots__ = ("name", "tangent_pontryagin")
@@ -49,9 +48,6 @@ class ManifoldModel(FrozenRecord):
                 f"ring truncated at degree {self.presentation.top_degree} does not match "
                 f"the degree {self.dimension} of its fundamental monomial"
             )
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     @property
     def presentation(self) -> RingPresentation:
@@ -156,8 +152,8 @@ def a_hat_genus(model: ManifoldModel) -> Fraction:
 # second at the cap.
 MODEL_MAX_WEIGHT = 48
 # Largest number of monomials of a ring that `parse_descriptor` builds; a single
-# atom within the dimension cap has at most 49.  The slowest product, HP^3 x HP^44
-# with 180 monomials, takes ~0.6 s cold on a 2-vCPU VM with CPython 3.11.
+# atom within the dimension cap has at most 49.  Each product at the cap takes
+# under a second, the slowest being HP^3 x HP^44 with 180 monomials.
 # Repeated factors would otherwise reach HP^2 x ... x HP^2 with 3^24 monomials.
 _MAX_PRODUCT_MONOMIALS = 200
 

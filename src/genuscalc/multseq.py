@@ -22,7 +22,8 @@ from itertools import groupby
 from math import factorial, gcd, lcm
 
 from .formatting import signed_sum
-from .rational import _size
+from .rational import _rational, _size
+from .record import FrozenRecord
 from .ring import RingElement, RingPresentation
 from .series import Series, ahat_genus_series, exp_parts, l_genus_series, quotient_parts
 
@@ -84,7 +85,8 @@ def _pontryagin_ring(max_weight: int) -> RingPresentation:
     )
 
 
-def _universal_genus_parts(c: tuple[Fraction, ...]) -> list[RingElement]:
+@lru_cache(maxsize=None)
+def _universal_genus_parts(c: tuple[Fraction, ...]) -> tuple[RingElement, ...]:
     """K_1..K_N from the log coefficients c_0..c_N, as integer polynomials over
     one denominator per weight.
 
@@ -122,43 +124,40 @@ def _universal_genus_parts(c: tuple[Fraction, ...]) -> list[RingElement]:
         num.append({key: v // g for key, v in e_n.items()})
         den.append(d_n // g)
     ring = _pontryagin_ring(n_max)
-    return [
+    return tuple(
         ring.element(
             {tuple(key // base**i % base for i in range(n_max)): Fraction(v, d) for key, v in e.items()}
         )
         for e, d in zip(num[1:], den[1:])
-    ]
+    )
 
 
-class GenusTable:
-    """Multiplicative sequence of a characteristic power series up to weight N.
+class GenusTable(FrozenRecord):
+    """Multiplicative sequence of a characteristic power series up to weight N,
+    stored as the log coefficients c_0..c_N of the series, with
+    log Q(z) = sum_k c_k z^k and c_0 = 0.
 
-    Evaluation needs only the log coefficients of the series; the genus
-    polynomials K_1..K_N are for display and are built when first read.
+    Evaluation needs only these; the genus polynomials K_1..K_N are for
+    display and are built when first read.
     """
 
-    __slots__ = ("_log", "_polys")
+    __slots__ = ("log_coefficients",)
 
-    def __init__(self, series: Series):
-        self._log = series.log().coefficients
-        self._polys: tuple[RingElement, ...] | None = None
-
-    @property
-    def log_coefficients(self) -> tuple[Fraction, ...]:
-        """c_0..c_N with log Q(z) = sum_k c_k z^k; c_0 = 0."""
-        return self._log
+    def __init__(self, log_coefficients) -> None:
+        c = tuple(map(_rational, log_coefficients))
+        if not c or c[0]:
+            raise ValueError("log coefficients must begin with c_0 = 0")
+        super().__init__(c)
 
     @property
     def polys(self) -> tuple[RingElement, ...]:
         """K_1..K_N in Q[p_1..p_N]: the parts of positive degree of the genus
         of the universal class 1 + p_1 + ... + p_N."""
-        if self._polys is None:
-            self._polys = tuple(_universal_genus_parts(self._log))
-        return self._polys
+        return _universal_genus_parts(self.log_coefficients)
 
     @property
     def max_weight(self) -> int:
-        return len(self._log) - 1
+        return len(self.log_coefficients) - 1
 
     def _index(self, i) -> int:
         i = _size(i, "index")
@@ -173,18 +172,12 @@ class GenusTable:
     def leading_coefficient(self, n: int) -> Fraction:
         """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is (-1)^{n+1} n c_n."""
         n = self._index(n)
-        return (-1) ** (n + 1) * n * self._log[n]
-
-    def __repr__(self) -> str:
-        log = ", ".join(map(str, self._log))
-        return f"<GenusTable of weight {self.max_weight}, log coefficients {log}>"
+        return (-1) ** (n + 1) * n * self.log_coefficients[n]
 
 
 def genus_table(q: Series) -> GenusTable:
     """Genus table of q up to weight q.order; q needs constant term 1."""
-    if q[0] != 1:
-        raise ValueError("characteristic series must have constant term 1")
-    return GenusTable(q)
+    return GenusTable(q.log().coefficients)
 
 
 @lru_cache(maxsize=None)

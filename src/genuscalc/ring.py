@@ -177,7 +177,8 @@ class RingElement:
             and self._terms == other._terms
         )
 
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self) -> int:
+        return hash((self._pres, frozenset(self._terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, RingElement):

@@ -239,6 +239,7 @@ def test_manifold_report_selection(capsys):
         (["hp:2", "--report", "signature, pontryagin,signature"], "duplicate report 'signature'"),
         (["product:hp:2,,hp:2"], "empty factor in product descriptor 'product:hp:2,,hp:2'"),
         (["product:s:4"], "product descriptor needs at least two factors, got 'product:s:4'"),
+        (["hp:1", "--report", ","], "empty report list"),
     ],
 )
 def test_manifold_input_errors_name_the_fault(capsys, argv, message):
@@ -561,8 +562,9 @@ def test_module_entry_point_runs_in_a_subprocess():
         (["genus", "--series", "L", "--weight", "10"], False),
         (["coeff", "--series", "L", "--weight", "1", "--format", "json"], True),
         (["coeff", "--series", "L", "--weight", "1", "--format", "json"], False),
-        # unbuffered, argparse drops a failed write of its help text and exits 0
         (["--help"], True),
+        (["--help"], False),
+        (["--version"], False),
     ],
 )
 def test_a_closed_stdout_exits_with_one_diagnostic_line(argv, buffered):

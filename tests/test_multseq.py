@@ -248,6 +248,22 @@ def test_non_integer_weights_are_rejected_not_truncated(build, what, bad):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RingPresentation([("z", 4, 3)], -1), "top degree must be >= 0, got -1"),
+        (lambda: RingPresentation([("z", 4, 3)], 8).gen("w"), "no generator named 'w'"),
+        (lambda: Series([]), "empty coefficient list needs an explicit order"),
+        (lambda: Series([1], -1), "order must be >= 0, got -1"),
+        (lambda: pont_character(hp_model(2).tangent_pontryagin, 0), "max weight must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_arguments_name_the_fault(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_evaluate_genus_on_quaternionic_plane_classes():
     pres = RingPresentation((("z", 4, 3),), 8)
     z = pres.gen("z")

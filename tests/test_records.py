@@ -9,12 +9,20 @@ import pytest
 
 from genuscalc import (
     BundleSolution,
+    GenusTable,
     ManifoldModel,
     NormalInvariantParams,
     RingPresentation,
     Series,
+    ahat_genus_table,
+    genus_table,
     hp_model,
+    l_genus_series,
+    l_genus_table,
+    parse_descriptor,
+    product_model,
     solve_bundle,
+    sphere_model,
 )
 from genuscalc.record import FrozenRecord
 
@@ -92,11 +100,14 @@ def test_bundle_solution_is_a_frozen_value():
     )
 
 
-def test_manifold_model_compares_by_identity():
-    model = hp_model(2)
+def test_manifold_model_compares_by_value():
+    model, same = hp_model(2), hp_model(2)
     _assert_frozen(model, "name")
-    assert model == model and model != hp_model(2)
-    assert hash(model) == object.__hash__(model)
+    assert model == same and model is not same and hash(model) == hash(same)
+    assert {model: "HP2"}[same] == "HP2" and len({model, same, hp_model(3)}) == 2
+    assert model != ManifoldModel("HP^2", same.tangent_pontryagin)
+    product = product_model(sphere_model(4), hp_model(2))
+    assert product == parse_descriptor("product:s:4,hp:2") and product != model
     assert repr(model) == (
         "ManifoldModel(name='HP2', tangent_pontryagin=<RingElement 1 + 2*z + 7*z^2>)"
     )
@@ -156,7 +167,9 @@ def test_records_copy_and_pickle(clone):
     assert clone(pres) == pres
     series = Series([1, "1/3", "-1/45"])
     assert clone(series) == series
-    for record in (params, solution, pres, series):
+    table = l_genus_table(4)
+    assert clone(table).polys == table.polys
+    for record in (params, solution, pres, series, model, table):
         twin = clone(record)
         assert twin == record and record == twin and hash(twin) == hash(record)
 
@@ -171,3 +184,37 @@ def test_a_record_equals_itself_without_reading_its_fields(monkeypatch):
     monkeypatch.setattr(FrozenRecord, "_values", lambda self: pytest.fail("fields were read"))
     for record in records:
         assert record == record and not record != record
+
+
+def test_genus_table_is_a_record_of_its_log_coefficients():
+    table = l_genus_table(5)
+    _assert_frozen(table, "log_coefficients")
+    same = genus_table(l_genus_series(5))
+    assert table == same and table is not same and hash(table) == hash(same)
+    assert GenusTable(table.log_coefficients) == table
+    assert table != ahat_genus_table(5) and table != l_genus_table(4)
+    assert repr(l_genus_table(1)) == "GenusTable(log_coefficients=(Fraction(0, 1), Fraction(1, 3)))"
+    assert GenusTable([0, 1, "1/2"]).log_coefficients == (0, 1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        ([], "log coefficients must begin with c_0 = 0"),
+        ([1, 2], "log coefficients must begin with c_0 = 0"),
+        ([0, 0.5], "scalar 0.5 is a float; give an int, a Fraction or 'num/den'"),
+    ],
+)
+def test_genus_table_refuses_what_no_series_has_as_its_log(coefficients, message):
+    with pytest.raises(ValueError) as refused:
+        GenusTable(coefficients)
+    assert str(refused.value) == message
+
+
+def test_ring_elements_of_equal_presentations_hash_equal():
+    first, second = (RingPresentation([("u", 4, 2), ("z", 4, 3)], 12) for _ in range(2))
+    a = 3 * first.gen("u") + first.gen("z") ** 2
+    b = second.element({(0, 2): 1, (1, 0): 3})
+    assert first is not second and a == b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a" and len({a, b, a + second.one()}) == 2
+    assert hash(first.zero()) == hash(second.zero())

@@ -315,6 +315,14 @@ def test_exponents_outside_the_presentation_are_rejected():
         pres.element({(-1, 0): 1})
 
 
+def test_keys_naming_one_exponent_vector_are_summed():
+    # a range and a tuple are two dict keys for the one exponent vector (1,)
+    pres = RingPresentation([("z", 4, 3)], 8)
+    cancelled = pres.element({(1,): 1, range(1, 2): -1})
+    assert cancelled == pres.zero() and cancelled.terms == {}
+    assert pres.element({(1,): 1, range(1, 2): 2}) == 3 * pres.gen("z")
+
+
 @pytest.mark.parametrize(
     "build, bad",
     [
