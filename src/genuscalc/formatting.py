@@ -10,12 +10,10 @@ def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
     """Join (coefficient, monomial) pairs like ``1 + 2/3*z - u*z^2``.
 
     An empty monomial string stands for the constant term.  Unit
-    coefficients are absorbed into the sign; zero terms are skipped.
+    coefficients are absorbed into the sign.  Every coefficient is nonzero.
     """
     parts: list[str] = []
     for coeff, mono in terms:
-        if not coeff:
-            continue
         mag = abs(coeff)
         if mono and mag == 1:
             body = mono

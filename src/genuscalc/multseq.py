@@ -86,21 +86,21 @@ def _pontryagin_ring(max_weight: int) -> RingPresentation:
 
 
 @lru_cache(maxsize=None)
-def _universal_genus_parts(c: tuple[Fraction, ...]) -> tuple[RingElement, ...]:
-    """K_1..K_N from the log coefficients c_0..c_N, as integer polynomials over
-    one denominator per weight.
+def _universal_genus_parts(table: GenusTable) -> tuple[RingElement, ...]:
+    """K_1..K_N of a table, as integer polynomials over one denominator per
+    weight.
 
     The log-derivative parts of the universal class are Newton's integer
     polynomials h_n = n p_n - sum_{k<n} h_k p_{n-k}, and the exp recurrence
-    n K_n = sum_k a_k h_k K_{n-k}, a_k = (-1)^{k+1} k c_k, is run on
-    K_n = E_n / D_n with D_n = n lcm_k(den a_k D_{n-k}), so E_n has integer
+    n K_n = sum_k a_k h_k K_{n-k}, a_k the table's leading coefficients, is run
+    on K_n = E_n / D_n with D_n = n lcm_k(den a_k D_{n-k}), so E_n has integer
     coefficients.  A monomial p_1^{e_1}...p_N^{e_N} is keyed by the integer
     sum_i e_i B^{i-1}, B = N + 1: no exponent in weight <= N reaches B, so a
     product of monomials is a sum of keys.
     """
-    n_max = len(c) - 1
+    n_max = table.max_weight
     base = n_max + 1
-    a = [(-1) ** (k + 1) * k * c[k] for k in range(n_max + 1)]
+    a = [0] + [table.leading_coefficient(k) for k in range(1, n_max + 1)]
     h: list[dict[int, int]] = [{}]
     num: list[dict[int, int]] = [{0: 1}]
     den = [1]
@@ -153,7 +153,7 @@ class GenusTable(FrozenRecord):
     def polys(self) -> tuple[RingElement, ...]:
         """K_1..K_N in Q[p_1..p_N]: the parts of positive degree of the genus
         of the universal class 1 + p_1 + ... + p_N."""
-        return _universal_genus_parts(self.log_coefficients)
+        return _universal_genus_parts(self)
 
     @property
     def max_weight(self) -> int:
@@ -170,7 +170,8 @@ class GenusTable(FrozenRecord):
         return self.polys[self._index(i) - 1]
 
     def leading_coefficient(self, n: int) -> Fraction:
-        """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is (-1)^{n+1} n c_n."""
+        """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is
+        (-1)^{n+1} n c_n, which is also the weight of h_n in D(sum_k c_k s_k)."""
         n = self._index(n)
         return (-1) ** (n + 1) * n * self.log_coefficients[n]
 
@@ -192,16 +193,17 @@ def ahat_genus_table(max_weight: int) -> GenusTable:
     return genus_table(ahat_genus_series(max_weight))
 
 
-def _unit_class_parts(total_class: RingElement, max_weight: int) -> list[RingElement]:
-    """Parts of degree 0, 4, ..., 4N of a class with constant term 1 and no
-    terms in other degrees."""
+def _log_derivative_parts(total_class: RingElement, max_weight: int) -> list[RingElement]:
+    """Parts h_0..h_N of D(p)/p for a class p with constant term 1 and no
+    terms outside degrees 0, 4, ..., 4N; h_0 is zero."""
     if total_class.constant_term() != 1:
         raise ValueError("total class must have constant term 1")
     for exps in total_class.terms:
         degree = total_class.presentation.monomial_degree(exps)
         if degree % 4:
             raise ValueError(f"total class has a term of degree {degree}, not a multiple of 4")
-    return [total_class.homogeneous_part(4 * i) for i in range(max_weight + 1)]
+    parts = [total_class.homogeneous_part(4 * i) for i in range(max_weight + 1)]
+    return quotient_parts([p * k for k, p in enumerate(parts)], parts)
 
 
 def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
@@ -210,20 +212,18 @@ def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
 
     The genus is computed in the class's own ring as exp(sum_k c_k s_k): with
     h_k the log-derivative parts of the class, s_k = (-1)^{k+1} h_k, so the
-    exponent has D-parts (-1)^{k+1} k c_k h_k.
+    exponent has D-parts a_k h_k, a_k the table's leading coefficients.
     """
     pres = total_class.presentation
     needed = pres.top_degree // 4
-    parts = _unit_class_parts(total_class, needed)
+    graded = _log_derivative_parts(total_class, needed)
     if table.max_weight < needed:
         raise ValueError(
             f"genus table of weight {table.max_weight} cannot cover a ring "
             f"truncated at degree {pres.top_degree}"
         )
-    graded = quotient_parts([p * k for k, p in enumerate(parts)], parts)
-    c = table.log_coefficients
     for k in range(1, needed + 1):
-        graded[k] = graded[k] * ((-1) ** (k + 1) * k * c[k])
+        graded[k] = graded[k] * table.leading_coefficient(k)
     return pres._sum(exp_parts(graded, pres.one()))
 
 
@@ -240,8 +240,7 @@ def pont_character(total_class: RingElement, max_weight: int) -> list[RingElemen
         raise ValueError(f"max weight must be >= 1, got {max_weight}")
     pres = total_class.presentation
     weight = min(max_weight, pres.top_degree // 4)
-    parts = _unit_class_parts(total_class, weight)
-    graded = quotient_parts([p * k for k, p in enumerate(parts)], parts)
+    graded = _log_derivative_parts(total_class, weight)
     out = [graded[k] * Fraction(2 * (-1) ** (k + 1), factorial(2 * k)) for k in range(1, weight + 1)]
     return out + [pres.zero()] * (max_weight - weight)
 

@@ -66,5 +66,5 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``num/den``, omitting the denominator when it is 1."""
-    return str(Fraction(value))
+    return str(_rational(value))
 

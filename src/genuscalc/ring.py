@@ -30,6 +30,8 @@ def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
     try:
         key = tuple(map(index, exponents))
     except TypeError:
+        if not isinstance(exponents, Iterable):
+            raise ValueError(f"exponent vector {exponents!r} is not a sequence of integers") from None
         bad = next((e for e in exponents if not hasattr(type(e), "__index__")), None)
         raise ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer") from None
     if len(key) != ngens:

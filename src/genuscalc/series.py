@@ -141,9 +141,9 @@ def l_genus_series(order: int) -> Series:
     i.e. [sum z^k/(2k)!] / [sum z^k/(2k+1)!].
     """
     order = _size(order, "series order")
-    num = [Fraction(1, factorial(2 * k)) for k in range(order + 1)]
-    den = [Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)]
-    return Series(quotient_parts(num, den), order)
+    num = Series([Fraction(1, factorial(2 * k)) for k in range(order + 1)], order)
+    den = Series([Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)], order)
+    return Series(quotient_parts(num.coefficients, den.coefficients), order)
 
 
 def ahat_genus_series(order: int) -> Series:

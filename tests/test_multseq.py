@@ -120,6 +120,8 @@ def test_factored_rendering_uses_common_denominators():
     assert factored_str(at.poly(1)) == "-p1/24"
     assert factored_str(at.poly(2)) == "(-4*p2 + 7*p1^2)/5760"
     assert factored_str(at.poly(3)) == "(-16*p3 + 44*p2*p1 - 31*p1^3)/967680"
+    # the constant series has log 0, so every genus polynomial is zero
+    assert factored_str(genus_table(Series([1], 3)).poly(1)) == "0"
 
 
 def test_pure_power_coefficient_equals_series_coefficient():
@@ -255,6 +257,8 @@ def test_non_integer_weights_are_rejected_not_truncated(build, what, bad):
         (lambda: RingPresentation([("z", 4, 3)], 8).gen("w"), "no generator named 'w'"),
         (lambda: Series([]), "empty coefficient list needs an explicit order"),
         (lambda: Series([1], -1), "order must be >= 0, got -1"),
+        (lambda: l_genus_series(-1), "order must be >= 0, got -1"),
+        (lambda: l_genus_table(-1), "order must be >= 0, got -1"),
         (lambda: pont_character(hp_model(2).tangent_pontryagin, 0), "max weight must be >= 1, got 0"),
     ],
 )
@@ -296,8 +300,11 @@ def test_classes_with_terms_outside_degrees_4i_are_refused():
 
 def test_evaluate_genus_rejects_undersized_tables():
     pres = RingPresentation((("z", 4, 4),), 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^genus table of weight 2 cannot cover a ring truncated at degree 12$"):
         evaluate_genus(l_genus_table(2), pres.one())
+    # a fault of the class is named before the size of the table
+    with pytest.raises(ValueError, match="^total class must have constant term 1$"):
+        evaluate_genus(l_genus_table(2), pres.gen("z"))
 
 
 def _random_total_class(rng, pres):

@@ -1,7 +1,8 @@
 """The package namespace re-exports exactly the public names of its layers
 and loads them on first use, the `genus` and `coeff` commands load neither
 `surgery` nor `manifolds`, no module keeps an unused import or an
-unreferenced private helper, the benchmark's tracer and worker still find
+unreferenced private helper, every public entry that takes a size refuses a
+negative one and a fraction, the benchmark's tracer and worker still find
 what they wrap and call, and the first lib-sweep operations pass the
 benchmark's own checks."""
 
@@ -10,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import islice
@@ -143,6 +145,40 @@ def test_every_private_module_level_helper_is_referenced():
             ):
                 dead.append(f"{filename}: {node.name}")
     assert dead == []
+
+
+def _z():
+    return genuscalc.RingPresentation([("z", 4, 3)], 8).gen("z")
+
+
+# Every public entry that takes a size (an order, weight, index, degree,
+# exponent or dimension), each called with that size alone varied.
+_SIZED = {
+    "hp_model": lambda n: genuscalc.hp_model(n),
+    "sphere_model": lambda n: genuscalc.sphere_model(n),
+    "l_genus_series": lambda n: genuscalc.l_genus_series(n),
+    "ahat_genus_series": lambda n: genuscalc.ahat_genus_series(n),
+    "l_genus_table": lambda n: genuscalc.l_genus_table(n),
+    "ahat_genus_table": lambda n: genuscalc.ahat_genus_table(n),
+    "Series order": lambda n: genuscalc.Series([1], n),
+    "pont_character": lambda n: genuscalc.pont_character(genuscalc.hp_model(2).tangent_pontryagin, n),
+    "GenusTable.poly": lambda n: genuscalc.l_genus_table(3).poly(n),
+    "GenusTable.leading_coefficient": lambda n: genuscalc.l_genus_table(3).leading_coefficient(n),
+    "RingElement.homogeneous_part": lambda n: _z().homogeneous_part(n),
+    "RingElement **": lambda n: _z() ** n,
+    "RingPresentation degree": lambda n: genuscalc.RingPresentation([("z", n, 3)], 8),
+    "RingPresentation nilpotency": lambda n: genuscalc.RingPresentation([("z", 4, n)], 8),
+    "RingPresentation top degree": lambda n: genuscalc.RingPresentation([("z", 4, 3)], n),
+    "NormalInvariantParams": lambda n: genuscalc.NormalInvariantParams(n),
+    "solve_bundle": lambda n: genuscalc.solve_bundle(n),
+}
+
+
+@pytest.mark.parametrize("size", [-1, 2.5])
+@pytest.mark.parametrize("entry", list(_SIZED))
+def test_every_size_refuses_a_negative_and_a_fraction(entry, size):
+    with pytest.raises(ValueError, match=re.escape(str(size))):
+        _SIZED[entry](size)
 
 
 # What `bench/worker.py` calls in each layer during a lib-sweep operation.

@@ -81,6 +81,11 @@ def test_format_rational_omits_unit_denominator():
     assert format_rational(0) == "0"
 
 
+def test_format_rational_refuses_a_float():
+    with pytest.raises(ValueError, match=r"^scalar 0\.1 is a float; give an int, a Fraction or 'num/den'$"):
+        format_rational(0.1)
+
+
 def test_format_parse_round_trip():
     rng = random.Random(99)
     for _ in range(200):

@@ -337,7 +337,7 @@ def test_non_integer_exponents_are_rejected_not_truncated(build, bad):
         build(pres)
 
 
-@pytest.mark.parametrize("exponents", [(1.5,), (1, 0), (), (-1,)])
+@pytest.mark.parametrize("exponents", [(1.5,), (1, 0), (), (-1,), 5, None])
 def test_coefficient_refuses_exponent_vectors_with_the_constructors_message(exponents):
     pres = RingPresentation([("z", 4, 3)], 8)
     with pytest.raises(ValueError) as built:
@@ -345,6 +345,7 @@ def test_coefficient_refuses_exponent_vectors_with_the_constructors_message(expo
     with pytest.raises(ValueError) as read:
         pres.one().coefficient(exponents)
     assert str(read.value) == str(built.value)
+    assert repr(exponents) in str(built.value)
 
 
 def test_empty_presentation_is_the_rationals():

@@ -140,6 +140,10 @@ def test_float_coefficients_are_refused(bad):
     assert Series([1, "1/10", Fraction(1, 3), 2]).coefficients[1:] == (Fraction(1, 10), Fraction(1, 3), 2)
 
 
+def test_repr_writes_the_coefficients_as_rationals():
+    assert repr(Series([1, Fraction(1, 3)])) == "Series([1, 1/3])"
+
+
 def test_power_matches_repeated_multiplication():
     a = Series([1, 1], 4)
     by_hand = Series([1], 4)
