@@ -74,9 +74,7 @@ def hp_model(n: int) -> ManifoldModel:
     (1 + z)^{2n+2} (1 + 4z)^{-1}, truncated at z^n: its coefficient of z^k
     is p_k = sum_{j<=k} C(2n+2, j) (-4)^{k-j}.
     """
-    n = _size(n, "projective dimension n")
-    if n < 1:
-        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    n = _size(n, "projective dimension", 1)
     pres = RingPresentation((("z", 4, n + 1),), 4 * n)
     p = [sum(comb(2 * n + 2, j) * (-4) ** (k - j) for j in range(k + 1)) for k in range(n + 1)]
     return ManifoldModel(f"HP{n}", pres.element({(k,): p_k for k, p_k in enumerate(p)}))
@@ -87,7 +85,7 @@ def sphere_model(k: int = 4) -> ManifoldModel:
 
     The tangent bundle is stably trivial, so the total Pontryagin class is 1.
     """
-    k = _size(k, "sphere dimension k")
+    k = _size(k, "sphere dimension k", 0)
     if k < 4 or k % 4:
         raise ValueError(f"sphere dimension must be a positive multiple of 4, got {k}")
     return ManifoldModel(f"S{k}", RingPresentation((("u", k, 2),), k).one())

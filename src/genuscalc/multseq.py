@@ -22,9 +22,9 @@ from itertools import groupby
 from math import factorial, gcd, lcm
 
 from .formatting import signed_sum
-from .rational import _rational, _size
+from .rational import _rationals, _size
 from .record import FrozenRecord
-from .ring import RingElement, RingPresentation
+from .ring import RingElement, RingPresentation, _presentation
 from .series import Series, ahat_genus_series, exp_parts, l_genus_series, quotient_parts
 
 __all__ = [
@@ -144,7 +144,7 @@ class GenusTable(FrozenRecord):
     __slots__ = ("log_coefficients",)
 
     def __init__(self, log_coefficients) -> None:
-        c = tuple(map(_rational, log_coefficients))
+        c = tuple(_rationals(log_coefficients, "log coefficients"))
         if not c or c[0]:
             raise ValueError("log coefficients must begin with c_0 = 0")
         super().__init__(c)
@@ -159,20 +159,14 @@ class GenusTable(FrozenRecord):
     def max_weight(self) -> int:
         return len(self.log_coefficients) - 1
 
-    def _index(self, i) -> int:
-        i = _size(i, "index")
-        if not 1 <= i <= self.max_weight:
-            raise ValueError(f"index {i} outside 1..{self.max_weight}")
-        return i
-
     def poly(self, i: int) -> RingElement:
         """K_i, 1-indexed."""
-        return self.polys[self._index(i) - 1]
+        return self.polys[_size(i, "index", 1, self.max_weight) - 1]
 
     def leading_coefficient(self, n: int) -> Fraction:
         """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is
         (-1)^{n+1} n c_n, which is also the weight of h_n in D(sum_k c_k s_k)."""
-        n = self._index(n)
+        n = _size(n, "index", 1, self.max_weight)
         return (-1) ** (n + 1) * n * self.log_coefficients[n]
 
 
@@ -214,7 +208,7 @@ def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
     h_k the log-derivative parts of the class, s_k = (-1)^{k+1} h_k, so the
     exponent has D-parts a_k h_k, a_k the table's leading coefficients.
     """
-    pres = total_class.presentation
+    pres = _presentation(total_class)
     needed = pres.top_degree // 4
     graded = _log_derivative_parts(total_class, needed)
     if table.max_weight < needed:
@@ -235,10 +229,8 @@ def pont_character(total_class: RingElement, max_weight: int) -> list[RingElemen
     where h_k are the log-derivative parts of p.  Components above the top
     degree of the ring are zero.
     """
-    max_weight = _size(max_weight, "max weight")
-    if max_weight < 1:
-        raise ValueError(f"max weight must be >= 1, got {max_weight}")
-    pres = total_class.presentation
+    max_weight = _size(max_weight, "max weight", 1)
+    pres = _presentation(total_class)
     weight = min(max_weight, pres.top_degree // 4)
     graded = _log_derivative_parts(total_class, weight)
     out = [graded[k] * Fraction(2 * (-1) ** (k + 1), factorial(2 * k)) for k in range(1, weight + 1)]
@@ -255,7 +247,7 @@ def pont_classes_from_character(character: list[RingElement]) -> RingElement:
     components = list(character)
     if not components:
         raise ValueError("need at least one character component")
-    pres = components[0].presentation
+    pres = _presentation(components[0])
     for i, comp in enumerate(components, start=1):
         pres._check_member(comp)
         d = 4 * i

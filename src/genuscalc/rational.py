@@ -3,8 +3,8 @@ number that comes from outside the package.
 
 Every computation in this package runs on `fractions.Fraction`.  Results
 are always in canonical reduced form with a positive denominator; nothing is
-ever rounded.  Sizes must be integers, scalars must not be floats, and text
-has at most 1,000 digits per integer.
+ever rounded.  Sizes must be integers in their range, scalars must not be
+floats, and text has at most 1,000 digits per integer.
 """
 
 from __future__ import annotations
@@ -21,12 +21,17 @@ _RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?")
 _MAX_DIGITS = 1000
 
 
-def _size(value, what: str) -> int:
-    """A size as an int, refused rather than truncated when it is not an integer."""
+def _size(value, what: str, low: int, high: int | None = None) -> int:
+    """A size as an int in low..high (no upper bound when high is None),
+    refused rather than truncated when it is not an integer."""
     try:
-        return index(value)
+        v = index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if v < low or (high is not None and v > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be {bound}, got {v}")
+    return v
 
 
 def _rational(value) -> Fraction:
@@ -35,6 +40,13 @@ def _rational(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"scalar {value!r} is a float; give an int, a Fraction or 'num/den'")
     return Fraction(value)
+
+
+def _rationals(values, what: str) -> list[Fraction]:
+    """Scalars as Fractions; text is refused, not read as its characters."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise ValueError(f"{what} must be a sequence of scalars, got {values!r}")
+    return [_rational(v) for v in values]
 
 
 def _parse_natural(text: str) -> int:

@@ -41,6 +41,14 @@ def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
     return key
 
 
+def _presentation(element) -> RingPresentation:
+    """The presentation of a ring element; anything else is refused."""
+    try:
+        return element._pres
+    except AttributeError:
+        raise ValueError(f"expected a ring element, got {element!r}") from None
+
+
 class RingPresentation(FrozenRecord):
     """Generators-and-truncation presentation Q[g_1, ..., g_r]/(g_i^{n_i}, deg > top)."""
 
@@ -52,22 +60,16 @@ class RingPresentation(FrozenRecord):
         nilpotencies: list[int] = []
         for name, degree, nilpotency in generators:
             name = str(name)
-            degree = _size(degree, f"degree of generator {name!r}")
-            nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}")
+            degree = _size(degree, f"degree of generator {name!r}", 0)
+            nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}", 1)
             if not name or name in names:
                 raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
             if degree <= 0 or degree % 2:
-                raise ValueError(
-                    f"generator {name!r} must have positive even degree, got {degree}"
-                )
-            if nilpotency < 1:
-                raise ValueError(f"generator {name!r} needs nilpotency >= 1, got {nilpotency}")
+                raise ValueError(f"generator {name!r} must have positive even degree, got {degree}")
             names.append(name)
             degrees.append(degree)
             nilpotencies.append(nilpotency)
-        top = _size(top_degree, "top degree")
-        if top < 0:
-            raise ValueError(f"top degree must be >= 0, got {top}")
+        top = _size(top_degree, "top degree", 0)
         super().__init__(tuple(names), tuple(degrees), tuple(nilpotencies), top)
 
     @property
@@ -97,8 +99,8 @@ class RingPresentation(FrozenRecord):
         return RingElement(self, terms)
 
     def _check_member(self, element: RingElement) -> None:
-        """Refuse an element of another presentation."""
-        if element._pres != self:
+        """Refuse a non-element, or an element of another presentation."""
+        if _presentation(element) != self:
             raise ValueError("ring elements come from different presentations")
 
     def _sum(self, elements: Iterable[RingElement]) -> RingElement:
@@ -159,14 +161,8 @@ class RingElement:
 
     def homogeneous_part(self, degree: int) -> RingElement:
         """The sum of terms of exactly the given degree."""
-        degree = _size(degree, "degree")
-        if degree < 0 or degree > self._pres.top_degree:
-            raise ValueError(
-                f"degree {degree} is outside 0..{self._pres.top_degree}"
-            )
-        picked = {
-            e: c for e, c in self._terms.items() if self._pres.monomial_degree(e) == degree
-        }
+        degree = _size(degree, "degree", 0, self._pres.top_degree)
+        picked = {e: c for e, c in self._terms.items() if self._pres.monomial_degree(e) == degree}
         return RingElement(self._pres, picked)
 
     def __bool__(self) -> bool:

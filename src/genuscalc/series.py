@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
-from .rational import _rational, _size
+from .rational import _rationals, _size
 from .record import FrozenRecord
 
 __all__ = ["Series", "ahat_genus_series", "l_genus_series"]
@@ -58,8 +58,7 @@ def exp_parts(graded: Sequence, one) -> list:
 
 def _power(one, base, exponent: int):
     """base ** exponent by repeated squaring, starting from the algebra's `one`."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+    exponent = _size(exponent, "exponent", 0)
     result = one
     while exponent:
         if exponent & 1:
@@ -79,17 +78,14 @@ class Series(FrozenRecord):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients, order: int | None = None):
-        coeffs = [_rational(c) for c in coefficients]
+        coeffs = _rationals(coefficients, "coefficients")
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
-        order = _size(order, "series order")
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        coeffs = coeffs[: order + 1]
+        order = _size(order, "series order", 0)
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        super().__init__(tuple(coeffs))
+        super().__init__(tuple(coeffs[: order + 1]))
 
     @property
     def order(self) -> int:
@@ -140,7 +136,7 @@ def l_genus_series(order: int) -> Series:
     Computed as the exact quotient of cosh(t) by sinh(t)/t with t^2 = z,
     i.e. [sum z^k/(2k)!] / [sum z^k/(2k+1)!].
     """
-    order = _size(order, "series order")
+    order = _size(order, "series order", 0)
     num = Series([Fraction(1, factorial(2 * k)) for k in range(order + 1)], order)
     den = Series([Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)], order)
     return Series(quotient_parts(num.coefficients, den.coefficients), order)
@@ -152,7 +148,7 @@ def ahat_genus_series(order: int) -> Series:
     Computed as the exact inverse of sinh(t)/t with t = sqrt(z)/2,
     i.e. the inverse of sum z^k/(4^k (2k+1)!).
     """
-    order = _size(order, "series order")
+    order = _size(order, "series order", 0)
     den = Series(
         [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(order + 1)], order
     )

@@ -50,10 +50,8 @@ class NormalInvariantParams(FrozenRecord):
         C: Fraction = Fraction(0),
         lam: Fraction = Fraction(1),
     ) -> None:
-        n = _size(n, "fibre projective dimension n")
+        n = _size(n, "fibre projective dimension", 2)
         super().__init__(n, *map(_rational, (A, B, C, lam)))
-        if n < 2:
-            raise ValueError(f"fibre projective dimension must be >= 2, got {n}")
         if not self.lam:
             raise ValueError("scale lambda must be nonzero")
         if n != 2 and self.B:
@@ -163,7 +161,7 @@ def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     All sigma coefficients come from honest ring evaluations, not stored
     constants.
     """
-    n = _size(n, "fibre projective dimension n")
+    n = _size(n, "fibre projective dimension", 0)
     if n < 2 or n % 2:
         raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
     if require_section and n != 2:

@@ -59,7 +59,7 @@ def test_hp_tangent_classes_match_the_series_route():
 def test_hp_model_rejects_bad_input():
     with pytest.raises(ValueError):
         hp_model(0)
-    with pytest.raises(ValueError, match="projective dimension n must be an integer, got 2.0"):
+    with pytest.raises(ValueError, match="projective dimension must be an integer, got 2.0"):
         hp_model(2.0)
 
 

@@ -256,9 +256,9 @@ def test_non_integer_weights_are_rejected_not_truncated(build, what, bad):
         (lambda: RingPresentation([("z", 4, 3)], -1), "top degree must be >= 0, got -1"),
         (lambda: RingPresentation([("z", 4, 3)], 8).gen("w"), "no generator named 'w'"),
         (lambda: Series([]), "empty coefficient list needs an explicit order"),
-        (lambda: Series([1], -1), "order must be >= 0, got -1"),
-        (lambda: l_genus_series(-1), "order must be >= 0, got -1"),
-        (lambda: l_genus_table(-1), "order must be >= 0, got -1"),
+        (lambda: Series([1], -1), "series order must be >= 0, got -1"),
+        (lambda: l_genus_series(-1), "series order must be >= 0, got -1"),
+        (lambda: l_genus_table(-1), "series order must be >= 0, got -1"),
         (lambda: pont_character(hp_model(2).tangent_pontryagin, 0), "max weight must be >= 1, got 0"),
     ],
 )

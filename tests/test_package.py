@@ -1,8 +1,9 @@
 """The package namespace re-exports exactly the public names of its layers
 and loads them on first use, the `genus` and `coeff` commands load neither
 `surgery` nor `manifolds`, no module keeps an unused import or an
-unreferenced private helper, every public entry that takes a size refuses a
-negative one and a fraction, the benchmark's tracer and worker still find
+unreferenced private helper or unbounded size, every public entry that takes
+a size refuses a negative one and a fraction by the one rule and takes any
+`__index__` integer, the benchmark's tracer and worker still find
 what they wrap and call, and the first lib-sweep operations pass the
 benchmark's own checks."""
 
@@ -147,6 +148,23 @@ def test_every_private_module_level_helper_is_referenced():
     assert dead == []
 
 
+def test_every_size_passes_a_lower_bound():
+    # so no range check is written by hand beside the one in `rational._size`
+    calls = [
+        (filename, node)
+        for filename, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_size"
+    ]
+    assert calls
+    unbounded = [
+        f"{filename}:{node.lineno}"
+        for filename, node in calls
+        if len(node.args) < 3 and not any(k.arg == "low" for k in node.keywords)
+    ]
+    assert unbounded == []
+
+
 def _z():
     return genuscalc.RingPresentation([("z", 4, 3)], 8).gen("z")
 
@@ -162,10 +180,11 @@ _SIZED = {
     "ahat_genus_table": lambda n: genuscalc.ahat_genus_table(n),
     "Series order": lambda n: genuscalc.Series([1], n),
     "pont_character": lambda n: genuscalc.pont_character(genuscalc.hp_model(2).tangent_pontryagin, n),
-    "GenusTable.poly": lambda n: genuscalc.l_genus_table(3).poly(n),
-    "GenusTable.leading_coefficient": lambda n: genuscalc.l_genus_table(3).leading_coefficient(n),
+    "GenusTable.poly": lambda n: genuscalc.l_genus_table(4).poly(n),
+    "GenusTable.leading_coefficient": lambda n: genuscalc.l_genus_table(4).leading_coefficient(n),
     "RingElement.homogeneous_part": lambda n: _z().homogeneous_part(n),
     "RingElement **": lambda n: _z() ** n,
+    "Series **": lambda n: genuscalc.Series([1, 1], 3) ** n,
     "RingPresentation degree": lambda n: genuscalc.RingPresentation([("z", n, 3)], 8),
     "RingPresentation nilpotency": lambda n: genuscalc.RingPresentation([("z", 4, n)], 8),
     "RingPresentation top degree": lambda n: genuscalc.RingPresentation([("z", 4, 3)], n),
@@ -174,11 +193,33 @@ _SIZED = {
 }
 
 
+# The two shapes of an out-of-range size, from `rational._size`.
+_OUT_OF_RANGE = re.compile(r".+ must be (>= \d+|in \d+\.\.\d+), got -1")
+
+
 @pytest.mark.parametrize("size", [-1, 2.5])
 @pytest.mark.parametrize("entry", list(_SIZED))
 def test_every_size_refuses_a_negative_and_a_fraction(entry, size):
-    with pytest.raises(ValueError, match=re.escape(str(size))):
+    with pytest.raises(ValueError, match=re.escape(str(size))) as refused:
         _SIZED[entry](size)
+    if size == -1:
+        assert _OUT_OF_RANGE.fullmatch(str(refused.value))
+
+
+class _Index:
+    """An integer that is no int: it converts only through `__index__`."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+@pytest.mark.parametrize("entry", list(_SIZED))
+def test_every_size_takes_an_index_integer(entry):
+    # 4 is a valid size of every entry
+    assert _SIZED[entry](_Index(4)) == _SIZED[entry](4)
 
 
 # What `bench/worker.py` calls in each layer during a lib-sweep operation.

@@ -203,6 +203,9 @@ def test_genus_table_is_a_record_of_its_log_coefficients():
         ([], "log coefficients must begin with c_0 = 0"),
         ([1, 2], "log coefficients must begin with c_0 = 0"),
         ([0, 0.5], "scalar 0.5 is a float; give an int, a Fraction or 'num/den'"),
+        # text is not read as a sequence of digits
+        ("01", "log coefficients must be a sequence of scalars, got '01'"),
+        (b"01", "log coefficients must be a sequence of scalars, got b'01'"),
     ],
 )
 def test_genus_table_refuses_what_no_series_has_as_its_log(coefficients, message):

@@ -14,6 +14,8 @@ from genuscalc import (
     evaluate_genus,
     hp_model,
     l_genus_table,
+    pont_character,
+    pont_classes_from_character,
     xi_total_class,
 )
 from genuscalc.series import quotient_parts
@@ -135,11 +137,35 @@ def test_powers_are_by_repeated_squaring():
     assert (pres.one() + z) ** e == pres.element({(0,): 1, (1,): e, (2,): e * (e - 1) // 2})
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5])
-def test_bad_exponents_are_refused(bad):
+@pytest.mark.parametrize(
+    "bad, message",
+    [(-1, "exponent must be >= 0"), (1.5, "exponent must be an integer")],
+    ids=["-1", "1.5"],
+)
+def test_bad_exponents_are_refused(bad, message):
     z = _s4_hp2().gen("z")
-    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+    with pytest.raises(ValueError, match=message):
         z**bad
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda z: hp_model(2).integrate(5), "5"),
+        (lambda z: hp_model(2).integrate(None), "None"),
+        (lambda z: pont_classes_from_character([1]), "1"),
+        (lambda z: pont_classes_from_character([z, 1]), "1"),
+        (lambda z: pont_character(5, 2), "5"),
+        (lambda z: evaluate_genus(l_genus_table(2), 5), "5"),
+        # every summand of a one-construction sum is checked
+        (lambda z: z.presentation._sum([z, "z"]), "'z'"),
+    ],
+)
+def test_non_elements_are_refused_by_name(call, bad):
+    z = hp_model(2).presentation.gen("z")
+    with pytest.raises(ValueError) as refused:
+        call(z)
+    assert str(refused.value) == f"expected a ring element, got {bad}"
 
 
 def test_augmentation_ideal_is_nilpotent():

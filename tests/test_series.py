@@ -140,6 +140,13 @@ def test_float_coefficients_are_refused(bad):
     assert Series([1, "1/10", Fraction(1, 3), 2]).coefficients[1:] == (Fraction(1, 10), Fraction(1, 3), 2)
 
 
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")])
+def test_text_is_not_read_as_a_sequence_of_digits(text):
+    with pytest.raises(ValueError) as refused:
+        Series(text)
+    assert str(refused.value) == f"coefficients must be a sequence of scalars, got {text!r}"
+
+
 def test_repr_writes_the_coefficients_as_rationals():
     assert repr(Series([1, Fraction(1, 3)])) == "Series([1, 1/3])"
 
@@ -151,8 +158,8 @@ def test_power_matches_repeated_multiplication():
         by_hand = by_hand * a
     assert a**5 == by_hand
     assert a**0 == Series([1], 4)
-    for bad in (-1, 1.5):
-        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+    for bad, message in ((-1, "exponent must be >= 0"), (1.5, "exponent must be an integer")):
+        with pytest.raises(ValueError, match=message):
             a**bad
 
 

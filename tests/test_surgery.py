@@ -54,7 +54,7 @@ def test_params_validation():
     [NormalInvariantParams, solve_bundle],
 )
 def test_params_refuse_a_non_integer_n(entry, n):
-    with pytest.raises(ValueError, match=r"dimension n must be an integer, got "):
+    with pytest.raises(ValueError, match=r"fibre projective dimension must be an integer, got "):
         entry(n)
 
 
