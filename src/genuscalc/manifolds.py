@@ -18,7 +18,7 @@ from math import comb, prod
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
 from .rational import _parse_natural, _size
 from .record import FrozenRecord
-from .ring import RingElement, RingPresentation
+from .ring import RingElement, RingPresentation, _presentation
 
 __all__ = [
     "ManifoldModel",
@@ -43,7 +43,7 @@ class ManifoldModel(FrozenRecord):
 
     def __init__(self, name: str, tangent_pontryagin: RingElement) -> None:
         super().__init__(name, tangent_pontryagin)
-        if self.presentation.top_degree != self.dimension:
+        if _presentation(tangent_pontryagin).top_degree != self.dimension:
             raise ValueError(
                 f"ring truncated at degree {self.presentation.top_degree} does not match "
                 f"the degree {self.dimension} of its fundamental monomial"
@@ -65,6 +65,12 @@ class ManifoldModel(FrozenRecord):
         """Pair a class of this model's ring against the fundamental monomial."""
         self.presentation._check_member(element)
         return element.coefficient(self.fundamental)
+
+
+def _model(value) -> ManifoldModel:
+    if not isinstance(value, ManifoldModel):
+        raise ValueError(f"expected a manifold model, got {value!r}")
+    return value
 
 
 def hp_model(n: int) -> ManifoldModel:
@@ -114,7 +120,7 @@ def product_model(first: ManifoldModel, second: ManifoldModel) -> ManifoldModel:
     HP^2 x HP^2 with generators z1 and z2; other names are kept.  A product
     monomial's exponent vector is the concatenation of the factors' vectors.
     """
-    a, b = first.presentation, second.presentation
+    a, b = _model(first).presentation, _model(second).presentation
     names = _product_names(a.names, b.names)
     gens = zip(names, a.degrees + b.degrees, a.nilpotencies + b.nilpotencies)
     pres = RingPresentation(gens, first.dimension + second.dimension)
@@ -129,7 +135,7 @@ def product_model(first: ManifoldModel, second: ManifoldModel) -> ManifoldModel:
 def _genus_integral(model: ManifoldModel, genus_table, what: str) -> Fraction:
     """The integral of the genus whose table `genus_table(weight)` builds;
     dimensions not divisible by 4 are rejected rather than reported as 0."""
-    if model.dimension % 4:
+    if _model(model).dimension % 4:
         raise ValueError(f"{what} needs dimension divisible by 4, got {model.dimension}")
     table = genus_table(model.dimension // 4)
     return model.integrate(evaluate_genus(table, model.tangent_pontryagin))

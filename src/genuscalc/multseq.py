@@ -55,8 +55,9 @@ def partition_terms(poly: RingElement) -> dict[Partition, Fraction]:
     p_1^{e_1} ... p_N^{e_N} becomes e_i parts equal to i, largest parts first.
     The terms come in display order: ascending weight, then descending
     lexicographic within a weight."""
+    n = _presentation(poly).ngens
     terms = {
-        tuple(i for i in range(len(exps), 0, -1) for _ in range(exps[i - 1])): c
+        tuple(i for i in range(n, 0, -1) for _ in range(exps[i - 1])): c
         for exps, c in poly.terms.items()
     }
     return {p: terms[p] for p in sorted(terms, key=lambda p: (sum(p), [-i for i in p]))}
@@ -158,10 +159,6 @@ class GenusTable(FrozenRecord):
     @property
     def max_weight(self) -> int:
         return len(self.log_coefficients) - 1
-
-    def poly(self, i: int) -> RingElement:
-        """K_i, 1-indexed."""
-        return self.polys[_size(i, "index", 1, self.max_weight) - 1]
 
     def leading_coefficient(self, n: int) -> Fraction:
         """Coefficient of p_n in K_n: only c_n s_n contains p_n, so it is

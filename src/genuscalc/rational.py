@@ -36,15 +36,18 @@ def _size(value, what: str, low: int, high: int | None = None) -> int:
 
 def _rational(value) -> Fraction:
     """A scalar as a Fraction, refused when it is a float, whose binary value
-    is seldom the rational meant."""
+    is seldom the rational meant, or no number at all."""
     if isinstance(value, float):
         raise ValueError(f"scalar {value!r} is a float; give an int, a Fraction or 'num/den'")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise ValueError(f"scalar {value!r} is not a rational; give an int, a Fraction or 'num/den'") from None
 
 
 def _rationals(values, what: str) -> list[Fraction]:
-    """Scalars as Fractions; text is refused, not read as its characters."""
-    if isinstance(values, (str, bytes, bytearray)):
+    """Scalars as Fractions; text is refused, not read as its characters, and so is a non-sequence."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
         raise ValueError(f"{what} must be a sequence of scalars, got {values!r}")
     return [_rational(v) for v in values]
 

@@ -89,12 +89,6 @@ class RingPresentation(FrozenRecord):
     def one(self) -> RingElement:
         return RingElement(self, {(0,) * self.ngens: Fraction(1)})
 
-    def gen(self, name: str) -> RingElement:
-        if name not in self.names:
-            raise ValueError(f"no generator named {name!r}")
-        exps = tuple(int(g == name) for g in self.names)
-        return RingElement(self, {exps: Fraction(1)})
-
     def element(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> RingElement:
         return RingElement(self, terms)
 

@@ -123,6 +123,13 @@ def expand_in_variables(partition_terms: dict, nvars: int) -> dict:
 # Series and ring oracles.
 
 
+def generator(pres, name: str):
+    """The generator called `name` of a ring presentation, as an element:
+    exponent 1 at its own place and 0 elsewhere."""
+    place = pres.names.index(name)
+    return pres.element({tuple(int(i == place) for i in range(pres.ngens)): 1})
+
+
 def binomial_inverse_product(exponent: int, c: int, order: int) -> list[Fraction]:
     """Coefficients of (1+z)^exponent * (1+cz)^{-1} summed directly from comb."""
     return [

@@ -19,7 +19,12 @@ from genuscalc import (
     sphere_model,
 )
 from genuscalc.surgery import ambient_model
-from oracles import binomial_inverse_product, hp_tangent_by_series, product_tangent_by_embedding
+from oracles import (
+    binomial_inverse_product,
+    generator,
+    hp_tangent_by_series,
+    product_tangent_by_embedding,
+)
 
 
 def test_hp2_tangent_class_frozen():
@@ -182,7 +187,7 @@ def test_nested_products_keep_generator_names_distinct():
 
 def test_integrate_reads_the_fundamental_coefficient():
     model = hp_model(2)
-    z = model.presentation.gen("z")
+    z = generator(model.presentation, "z")
     assert model.integrate(3 * z**2 + z) == 3
     assert model.integrate(model.presentation.one()) == 0
 
@@ -194,6 +199,27 @@ def test_integrate_refuses_a_class_of_another_ring():
     twin = RingPresentation([("z", 4, 3)], 8)
     assert twin is not hp2.presentation
     assert hp2.integrate(twin.element({(2,): 5})) == 5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        signature,
+        a_hat_genus,
+        lambda bad: product_model(bad, hp_model(1)),
+        lambda bad: product_model(hp_model(1), bad),
+    ],
+    ids=["signature", "a_hat_genus", "product_model first", "product_model second"],
+)
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(5, "5"), (None, "None"), (hp_model(2).tangent_pontryagin, "<RingElement 1 + 2*z + 7*z^2>")],
+    ids=["5", "None", "ring element"],
+)
+def test_non_models_are_refused_by_name(call, bad, shown):
+    with pytest.raises(ValueError) as refused:
+        call(bad)
+    assert str(refused.value) == f"expected a manifold model, got {shown}"
 
 
 def test_signature_rejects_dimensions_not_divisible_by_four():
@@ -209,7 +235,7 @@ def test_signature_rejects_dimensions_not_divisible_by_four():
 def test_complex_projective_spaces_with_a_degree_two_generator(k, a_hat):
     # p(CP^{2k}) = (1 + x^2)^{2k+1} has terms only in degrees 4i
     pres = RingPresentation((("x", 2, 2 * k + 1),), 4 * k)
-    model = ManifoldModel(f"CP{2 * k}", (pres.one() + pres.gen("x") ** 2) ** (2 * k + 1))
+    model = ManifoldModel(f"CP{2 * k}", (pres.one() + generator(pres, "x") ** 2) ** (2 * k + 1))
     assert signature(model) == 1
     assert a_hat_genus(model) == a_hat
 

@@ -84,6 +84,8 @@ def test_format_rational_omits_unit_denominator():
 def test_format_rational_refuses_a_float():
     with pytest.raises(ValueError, match=r"^scalar 0\.1 is a float; give an int, a Fraction or 'num/den'$"):
         format_rational(0.1)
+    with pytest.raises(ValueError, match=r"^scalar None is not a rational; give an int, a Fraction or 'num/den'$"):
+        format_rational(None)
 
 
 def test_format_parse_round_trip():

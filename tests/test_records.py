@@ -25,6 +25,7 @@ from genuscalc import (
     sphere_model,
 )
 from genuscalc.record import FrozenRecord
+from oracles import generator
 
 
 def _assert_frozen(record, field):
@@ -206,6 +207,9 @@ def test_genus_table_is_a_record_of_its_log_coefficients():
         # text is not read as a sequence of digits
         ("01", "log coefficients must be a sequence of scalars, got '01'"),
         (b"01", "log coefficients must be a sequence of scalars, got b'01'"),
+        # nor is a value that is no sequence, or a scalar that is no number
+        (5, "log coefficients must be a sequence of scalars, got 5"),
+        ([0, None], "scalar None is not a rational; give an int, a Fraction or 'num/den'"),
     ],
 )
 def test_genus_table_refuses_what_no_series_has_as_its_log(coefficients, message):
@@ -216,7 +220,7 @@ def test_genus_table_refuses_what_no_series_has_as_its_log(coefficients, message
 
 def test_ring_elements_of_equal_presentations_hash_equal():
     first, second = (RingPresentation([("u", 4, 2), ("z", 4, 3)], 12) for _ in range(2))
-    a = 3 * first.gen("u") + first.gen("z") ** 2
+    a = 3 * generator(first, "u") + generator(first, "z") ** 2
     b = second.element({(0, 2): 1, (1, 0): 3})
     assert first is not second and a == b and hash(a) == hash(b)
     assert {a: "a"}[b] == "a" and len({a, b, a + second.one()}) == 2

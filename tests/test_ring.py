@@ -8,18 +8,22 @@ from math import gcd
 import pytest
 
 from genuscalc import (
+    ManifoldModel,
     NormalInvariantParams,
     RingElement,
     RingPresentation,
     evaluate_genus,
+    factored_str,
     hp_model,
     l_genus_table,
+    partition_terms,
     pont_character,
     pont_classes_from_character,
     xi_total_class,
 )
 from genuscalc.series import quotient_parts
 from oracles import (
+    generator,
     inverse_parts,
     log_derivative_parts,
     naive_reduced_product,
@@ -70,7 +74,7 @@ def test_bad_nilpotency_and_duplicate_names_are_rejected():
 
 def test_cube_of_linear_combination():
     pres = _s4_hp2()
-    u, z = pres.gen("u"), pres.gen("z")
+    u, z = generator(pres, "u"), generator(pres, "z")
     cube = (2 * z - u) ** 3
     assert cube == pres.element({(1, 2): -12})
     assert str(cube) == "-12*u*z^2"
@@ -78,7 +82,7 @@ def test_cube_of_linear_combination():
 
 def test_product_expansion_with_rational_coefficients():
     pres = _s4_hp2()
-    u, z = pres.gen("u"), pres.gen("z")
+    u, z = generator(pres, "u"), generator(pres, "z")
     a = pres.one() + Fraction(2, 3) * z + z**2
     b = pres.one() - Fraction(1, 3) * u
     expected = pres.element(
@@ -124,7 +128,7 @@ def test_ring_laws_on_random_elements():
 
 def test_nilpotency_truncates_powers():
     pres = RingPresentation((("z", 4, 3),), 8)
-    z = pres.gen("z")
+    z = generator(pres, "z")
     assert z**3 == pres.zero()
     assert bool(z**2)
 
@@ -132,7 +136,7 @@ def test_nilpotency_truncates_powers():
 def test_powers_are_by_repeated_squaring():
     # a multiplication per unit of the exponent would never finish here
     pres = hp_model(2).presentation
-    z, e = pres.gen("z"), 10**18
+    z, e = generator(pres, "z"), 10**18
     assert z**e == pres.zero()
     assert (pres.one() + z) ** e == pres.element({(0,): 1, (1,): e, (2,): e * (e - 1) // 2})
 
@@ -143,7 +147,7 @@ def test_powers_are_by_repeated_squaring():
     ids=["-1", "1.5"],
 )
 def test_bad_exponents_are_refused(bad, message):
-    z = _s4_hp2().gen("z")
+    z = generator(_s4_hp2(), "z")
     with pytest.raises(ValueError, match=message):
         z**bad
 
@@ -159,10 +163,13 @@ def test_bad_exponents_are_refused(bad, message):
         (lambda z: evaluate_genus(l_genus_table(2), 5), "5"),
         # every summand of a one-construction sum is checked
         (lambda z: z.presentation._sum([z, "z"]), "'z'"),
+        (lambda z: ManifoldModel("x", 5), "5"),
+        (lambda z: partition_terms(5), "5"),
+        (lambda z: factored_str(5), "5"),
     ],
 )
 def test_non_elements_are_refused_by_name(call, bad):
-    z = hp_model(2).presentation.gen("z")
+    z = generator(hp_model(2).presentation, "z")
     with pytest.raises(ValueError) as refused:
         call(z)
     assert str(refused.value) == f"expected a ring element, got {bad}"
@@ -180,7 +187,7 @@ def test_augmentation_ideal_is_nilpotent():
 
 def test_inverse_of_one_minus_nilpotent_is_geometric_series():
     pres = RingPresentation((("z", 4, 3),), 8)
-    z = pres.gen("z")
+    z = generator(pres, "z")
     a = pres.one() - Fraction(1, 12) * z
     assert a.inverse() == pres.one() + Fraction(1, 12) * z + Fraction(1, 144) * z**2
     assert pres.one().inverse() == pres.one()
@@ -189,7 +196,7 @@ def test_inverse_of_one_minus_nilpotent_is_geometric_series():
 def test_inverse_flips_sign_when_square_vanishes():
     # 1 + x with x^2 = 0 inverts to 1 - x; degree-4-and-up multiples of u square to zero here
     pres = _s4_hp2()
-    u, z = pres.gen("u"), pres.gen("z")
+    u, z = generator(pres, "u"), generator(pres, "z")
     rng = random.Random(77)
     for _ in range(50):
         x = (
@@ -267,12 +274,12 @@ def test_inverse_of_the_bundle_genus_builds_few_elements(monkeypatch):
 def test_inverse_requires_a_unit():
     pres = _s4_hp2()
     with pytest.raises(ValueError):
-        pres.gen("z").inverse()
+        generator(pres, "z").inverse()
 
 
 def test_homogeneous_part_extraction():
     pres = _s4_hp2()
-    u, z = pres.gen("u"), pres.gen("z")
+    u, z = generator(pres, "u"), generator(pres, "z")
     a = pres.one() + 2 * z + 7 * z**2 + 5 * u * z
     assert a.homogeneous_part(4) == 2 * z
     assert a.homogeneous_part(8) == 7 * z**2 + 5 * u * z
@@ -307,27 +314,29 @@ def test_elements_from_different_presentations_do_not_mix():
     ]:
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError, match="ring elements come from different presentations"):
-                op(mine.gen("z"), other.gen(other.names[-1]))
+                op(generator(mine, "z"), generator(other, other.names[-1]))
 
 
 def test_structurally_equal_presentations_interoperate():
-    a = _s4_hp2().gen("z")
-    b = _s4_hp2().gen("z")
+    a = generator(_s4_hp2(), "z")
+    b = generator(_s4_hp2(), "z")
     assert a == b
     assert a * b == a**2
     first, second = RingPresentation([("z", 4, 3)], 8), RingPresentation([("z", 4, 3)], 8)
     assert first is not second and first == second and hash(first) == hash(second)
-    z1, z2 = first.gen("z"), second.gen("z")
+    z1, z2 = generator(first, "z"), generator(second, "z")
     assert z1 + z2 == first.element({(1,): 2}) and (z1 + z2).presentation is first
     assert z1 * z2 == second.element({(2,): 1}) and z1 == z2
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5])
-def test_float_coefficients_are_refused(bad):
+@pytest.mark.parametrize(
+    "bad, fault", [(0.1, "a float"), (0.5, "a float"), (None, "not a rational")], ids=["0.1", "0.5", "None"]
+)
+def test_float_coefficients_are_refused(bad, fault):
     pres = RingPresentation([("z", 4, 3)], 8)
-    with pytest.raises(ValueError, match=f"scalar {bad} is a float"):
+    with pytest.raises(ValueError, match=f"scalar {bad} is {fault}"):
         pres.element({(1,): bad})
-    with pytest.raises(ValueError, match=f"scalar {bad} is a float"):
+    with pytest.raises(ValueError, match=f"scalar {bad} is {fault}"):
         pres.element({(0,): Fraction(1), (1,): bad})
     exact = pres.element({(0,): 1, (1,): "1/10", (2,): Fraction(1, 3)})
     assert exact.terms == {(0,): 1, (1,): Fraction(1, 10), (2,): Fraction(1, 3)}
@@ -346,7 +355,7 @@ def test_keys_naming_one_exponent_vector_are_summed():
     pres = RingPresentation([("z", 4, 3)], 8)
     cancelled = pres.element({(1,): 1, range(1, 2): -1})
     assert cancelled == pres.zero() and cancelled.terms == {}
-    assert pres.element({(1,): 1, range(1, 2): 2}) == 3 * pres.gen("z")
+    assert pres.element({(1,): 1, range(1, 2): 2}) == 3 * generator(pres, "z")
 
 
 @pytest.mark.parametrize(

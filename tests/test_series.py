@@ -133,14 +133,17 @@ def test_exp_log_preconditions():
         Series([2, 1], 1).log()
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5])
-def test_float_coefficients_are_refused(bad):
-    with pytest.raises(ValueError, match=f"scalar {bad} is a float"):
+@pytest.mark.parametrize(
+    "bad, fault", [(0.1, "a float"), (0.5, "a float"), (None, "not a rational")], ids=["0.1", "0.5", "None"]
+)
+def test_float_coefficients_are_refused(bad, fault):
+    with pytest.raises(ValueError, match=f"scalar {bad} is {fault}"):
         Series([1, bad])
     assert Series([1, "1/10", Fraction(1, 3), 2]).coefficients[1:] == (Fraction(1, 10), Fraction(1, 3), 2)
 
 
-@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")])
+# 5 is no sequence at all, and is refused with the same message
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), 5])
 def test_text_is_not_read_as_a_sequence_of_digits(text):
     with pytest.raises(ValueError) as refused:
         Series(text)

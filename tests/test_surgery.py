@@ -19,6 +19,7 @@ from genuscalc import (
     xi_total_class,
 )
 from oracles import (
+    generator,
     nonzero_fraction,
     pair_mode_a_hat_coefficient,
     pair_mode_obstruction_coefficients,
@@ -62,6 +63,8 @@ def test_params_refuse_a_non_integer_n(entry, n):
 def test_params_refuse_float_parameters(field):
     with pytest.raises(ValueError, match="scalar 0.1 is a float"):
         NormalInvariantParams(2, **{field: 0.1})
+    with pytest.raises(ValueError, match="scalar None is not a rational"):
+        NormalInvariantParams(2, **{field: None})
     exact = NormalInvariantParams(2, **{field: "1/10"})
     assert getattr(exact, field) == Fraction(1, 10)
 
@@ -100,7 +103,7 @@ def test_xi_total_class_frozen_n2():
 def test_xi_total_class_scales_with_parameters():
     rng = random.Random(6174)
     pres = ambient_model(2).presentation
-    u, z = pres.gen("u"), pres.gen("z")
+    u, z = generator(pres, "u"), generator(pres, "z")
     for _ in range(50):
         params = _random_params(rng)
         expected = (
@@ -302,8 +305,8 @@ def _linear_bundle_class(n, k, sign=1):
     Z = z + k u / (n+1), which satisfies Z^{n+1} = k u Z^n there; sign = -1
     flips the u term as a control."""
     pres = ambient_model(n).presentation
-    one, u = pres.one(), pres.gen("u")
-    Z = pres.gen("z") + Fraction(k, n + 1) * u
+    one, u = pres.one(), generator(pres, "u")
+    Z = generator(pres, "z") + Fraction(k, n + 1) * u
     twisted = sign * 2 * k * (one - Z) * (one + Z) ** (2 * n) * u
     return ((one + Z) ** (2 * n + 2) + twisted) * (one + 4 * Z).inverse()
 
