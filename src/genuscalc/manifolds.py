@@ -16,7 +16,7 @@ from itertools import count
 from math import comb, prod
 
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
-from .rational import _parse_natural, _size
+from .rational import _instance, _parse_natural, _size
 from .record import FrozenRecord
 from .ring import RingElement, RingPresentation, _presentation
 
@@ -67,12 +67,6 @@ class ManifoldModel(FrozenRecord):
         return element.coefficient(self.fundamental)
 
 
-def _model(value) -> ManifoldModel:
-    if not isinstance(value, ManifoldModel):
-        raise ValueError(f"expected a manifold model, got {value!r}")
-    return value
-
-
 def hp_model(n: int) -> ManifoldModel:
     """Quaternionic projective space HP^n, cohomology Q[z]/(z^{n+1}) with |z| = 4.
 
@@ -120,7 +114,7 @@ def product_model(first: ManifoldModel, second: ManifoldModel) -> ManifoldModel:
     HP^2 x HP^2 with generators z1 and z2; other names are kept.  A product
     monomial's exponent vector is the concatenation of the factors' vectors.
     """
-    a, b = _model(first).presentation, _model(second).presentation
+    a, b = (_instance(m, ManifoldModel, "a manifold model").presentation for m in (first, second))
     names = _product_names(a.names, b.names)
     gens = zip(names, a.degrees + b.degrees, a.nilpotencies + b.nilpotencies)
     pres = RingPresentation(gens, first.dimension + second.dimension)
@@ -135,7 +129,7 @@ def product_model(first: ManifoldModel, second: ManifoldModel) -> ManifoldModel:
 def _genus_integral(model: ManifoldModel, genus_table, what: str) -> Fraction:
     """The integral of the genus whose table `genus_table(weight)` builds;
     dimensions not divisible by 4 are rejected rather than reported as 0."""
-    if _model(model).dimension % 4:
+    if _instance(model, ManifoldModel, "a manifold model").dimension % 4:
         raise ValueError(f"{what} needs dimension divisible by 4, got {model.dimension}")
     table = genus_table(model.dimension // 4)
     return model.integrate(evaluate_genus(table, model.tangent_pontryagin))
@@ -165,22 +159,14 @@ _MAX_PRODUCT_MONOMIALS = 200
 def _parse_atom(text: str) -> tuple[int, int, Callable[[], ManifoldModel]]:
     """Dimension, number of monomials of the cohomology ring, and builder of
     ``hp:<n>`` or ``s:<k>``, without building it."""
-    if text.startswith("hp:"):
-        n = _parse_positive_int(text[3:], text)
-        return 4 * n, n + 1, partial(hp_model, n)
-    if text.startswith("s:"):
-        k = _parse_positive_int(text[2:], text)
-        return k, 2, partial(sphere_model, k)
-    raise ValueError(f"unsupported manifold descriptor {text!r}")
-
-
-def _parse_positive_int(body: str, descriptor: str) -> int:
-    if not (body.isascii() and body.isdigit()):
-        raise ValueError(f"unsupported manifold descriptor {descriptor!r}")
+    kind, _, size = text.partition(":")
+    if kind not in ("hp", "s") or not (size.isascii() and size.isdigit()):
+        raise ValueError(f"unsupported manifold descriptor {text!r}")
     try:
-        return _parse_natural(body)
+        n = _parse_natural(size)
     except ValueError:  # more than 1,000 digits
-        raise ValueError(f"manifold size with {len(body)} digits is too large") from None
+        raise ValueError(f"manifold size with {len(size)} digits is too large") from None
+    return (4 * n, n + 1, partial(hp_model, n)) if kind == "hp" else (n, 2, partial(sphere_model, n))
 
 
 def parse_descriptor(text: str) -> ManifoldModel:
@@ -189,7 +175,7 @@ def parse_descriptor(text: str) -> ManifoldModel:
     A manifold of dimension above 4 * MODEL_MAX_WEIGHT, or a product whose
     ring has more than 200 monomials, is refused before anything is built.
     """
-    t = text.strip()
+    t = _instance(text, str, "a string").strip()
     if t.startswith("product:"):
         parts = [p.strip() for p in t[len("product:"):].split(",")]
         if len(parts) < 2:

@@ -22,7 +22,7 @@ from itertools import groupby
 from math import factorial, gcd, lcm
 
 from .formatting import signed_sum
-from .rational import _rationals, _size
+from .rational import _instance, _rationals, _size
 from .record import FrozenRecord
 from .ring import RingElement, RingPresentation, _presentation
 from .series import Series, ahat_genus_series, exp_parts, l_genus_series, quotient_parts
@@ -169,7 +169,7 @@ class GenusTable(FrozenRecord):
 
 def genus_table(q: Series) -> GenusTable:
     """Genus table of q up to weight q.order; q needs constant term 1."""
-    return GenusTable(q.log().coefficients)
+    return GenusTable(_instance(q, Series, "a series").log().coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +208,7 @@ def evaluate_genus(table: GenusTable, total_class: RingElement) -> RingElement:
     pres = _presentation(total_class)
     needed = pres.top_degree // 4
     graded = _log_derivative_parts(total_class, needed)
-    if table.max_weight < needed:
+    if _instance(table, GenusTable, "a genus table").max_weight < needed:
         raise ValueError(
             f"genus table of weight {table.max_weight} cannot cover a ring "
             f"truncated at degree {pres.top_degree}"
@@ -241,7 +241,10 @@ def pont_classes_from_character(character: list[RingElement]) -> RingElement:
     p = exp(sum_k (-1)^{k+1} s_k / k), whose exponent has D-parts
     (-1)^{k+1} (2k)! ph_k / 2.  The result has no parts above degree 4N.
     """
-    components = list(character)
+    try:
+        components = list(character)
+    except TypeError:
+        raise ValueError(f"expected a sequence of ring elements, got {character!r}") from None
     if not components:
         raise ValueError("need at least one character component")
     pres = _presentation(components[0])

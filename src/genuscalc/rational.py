@@ -1,15 +1,17 @@
 """Exact rational scalars: parsing and formatting, and the rules for every
-number that comes from outside the package.
+argument that comes from outside the package.
 
 Every computation in this package runs on `fractions.Fraction`.  Results
 are always in canonical reduced form with a positive denominator; nothing is
-ever rounded.  Sizes must be integers in their range, scalars must not be
-floats, and text has at most 1,000 digits per integer.
+ever rounded.  Sizes are integers in their range, scalars are not floats, text
+is read by one num/den grammar with at most 1,000 digits per integer, and
+records and text must be of their class.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from operator import index
 
@@ -34,9 +36,18 @@ def _size(value, what: str, low: int, high: int | None = None) -> int:
     return v
 
 
+def _instance(value, cls, what: str):
+    """`value` when it is a `cls`; anything else is refused by name."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
 def _rational(value) -> Fraction:
-    """A scalar as a Fraction, refused when it is a float, whose binary value
-    is seldom the rational meant, or no number at all."""
+    """A scalar as a Fraction, text read by `parse_rational`; refused when it is
+    a float, whose binary value is seldom the rational meant, or no number."""
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise ValueError(f"scalar {value!r} is a float; give an int, a Fraction or 'num/den'")
     try:
@@ -46,8 +57,8 @@ def _rational(value) -> Fraction:
 
 
 def _rationals(values, what: str) -> list[Fraction]:
-    """Scalars as Fractions; text is refused, not read as its characters, and so is a non-sequence."""
-    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+    """Scalars as Fractions; text, a mapping, a set and a non-sequence are refused, not read."""
+    if isinstance(values, (str, bytes, bytearray, Mapping, Set)) or not hasattr(values, "__iter__"):
         raise ValueError(f"{what} must be a sequence of scalars, got {values!r}")
     return [_rational(v) for v in values]
 
@@ -64,14 +75,10 @@ def _parse_natural(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``num`` or ``num/den`` into a Fraction.
-
-    Both parts are written in ASCII decimal digits, at most 1,000 of them,
-    and the denominator, when present, must be positive; anything else
-    (floats, letters, other digit scripts, zero denominators, longer
-    integers) is rejected.
-    """
-    match = _RATIONAL_RE.fullmatch(text.strip())
+    """Parse ``num`` or ``num/den`` text into a Fraction: both parts in ASCII
+    decimal digits, at most 1,000 each, the denominator positive; anything else
+    (floats, letters, other digit scripts, zero denominators, no text) is refused."""
+    match = _RATIONAL_RE.fullmatch(_instance(text, str, "a string").strip())
     if not match:
         raise ValueError(f"malformed rational {text!r}, expected num or num/den")
     sign, num, den = match.groups()

@@ -55,20 +55,21 @@ class RingPresentation(FrozenRecord):
     __slots__ = ("names", "degrees", "nilpotencies", "top_degree")
 
     def __init__(self, generators: Iterable[tuple[str, int, int]], top_degree: int):
-        names: list[str] = []
-        degrees: list[int] = []
-        nilpotencies: list[int] = []
-        for name, degree, nilpotency in generators:
-            name = str(name)
-            degree = _size(degree, f"degree of generator {name!r}", 0)
-            nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}", 1)
-            if not name or name in names:
-                raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
-            if degree <= 0 or degree % 2:
-                raise ValueError(f"generator {name!r} must have positive even degree, got {degree}")
-            names.append(name)
-            degrees.append(degree)
-            nilpotencies.append(nilpotency)
+        names, degrees, nilpotencies = [], [], []
+        try:
+            for name, degree, nilpotency in generators:
+                name = str(name)
+                degree = _size(degree, f"degree of generator {name!r}", 0)
+                nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}", 1)
+                if not name or name in names:
+                    raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
+                if degree <= 0 or degree % 2:
+                    raise ValueError(f"generator {name!r} must have positive even degree, got {degree}")
+                names.append(name)
+                degrees.append(degree)
+                nilpotencies.append(nilpotency)
+        except TypeError:
+            raise ValueError(f"expected (name, degree, nilpotency) triples, got {generators!r}") from None
         top = _size(top_degree, "top degree", 0)
         super().__init__(tuple(names), tuple(degrees), tuple(nilpotencies), top)
 
@@ -122,12 +123,17 @@ class RingElement:
 
     def __init__(self, presentation: RingPresentation, terms: Mapping[tuple[int, ...], Fraction | int]):
         self._pres = presentation
-        ngens = presentation.ngens
-        nils = presentation.nilpotencies
-        degrees = presentation.degrees
-        top = presentation.top_degree
+        try:
+            ngens, nils = presentation.ngens, presentation.nilpotencies
+            degrees, top = presentation.degrees, presentation.top_degree
+        except AttributeError:
+            raise ValueError(f"expected a ring presentation, got {presentation!r}") from None
+        try:
+            items = dict(terms).items()
+        except (TypeError, ValueError):
+            raise ValueError(f"expected a mapping of exponent vectors to scalars, got {terms!r}") from None
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in dict(terms).items():
+        for exps, coeff in items:
             key = _exponent_vector(exps, ngens)
             c = coeff if type(coeff) is Fraction else _rational(coeff)
             if not c or any(map(ge, key, nils)) or sum(map(mul, key, degrees)) > top:

@@ -17,7 +17,7 @@ from math import factorial, gcd, lcm
 
 from .manifolds import ManifoldModel, hp_model, product_model, signature, sphere_model
 from .multseq import ahat_genus_table, evaluate_genus, l_genus_table
-from .rational import _rational, _size
+from .rational import _instance, _rational, _size
 from .record import FrozenRecord
 from .ring import RingElement
 
@@ -87,21 +87,19 @@ def xi_total_class(params: NormalInvariantParams) -> RingElement:
     zero unless n = 2) and p_{n+1} = (-1)^n (2n+1)! lambda C u z^n; at n = 2
     the last is 120 lambda C uz^2.  Every other class vanishes.
     """
-    n, lam = params.n, params.lam
-    return ambient_model(n).presentation.element(
-        {
-            (0, 0): 1,
-            (1, 0): lam * params.A,
-            (1, 1): lam * params.B * -6,
-            (1, n): lam * params.C * ((-1) ** n * factorial(2 * n + 1)),
-        }
-    )
+    n, lam = _instance(params, NormalInvariantParams, "normal invariant parameters").n, params.lam
+    return ambient_model(n).presentation.element({
+        (0, 0): 1,
+        (1, 0): lam * params.A,
+        (1, 1): lam * params.B * -6,
+        (1, n): lam * params.C * ((-1) ** n * factorial(2 * n + 1)),
+    })
 
 
 def _surgered_integral(params: NormalInvariantParams, genus_table) -> Fraction:
     """The integral of G(T(S^4 x HP^n)) * G(xi)^{-1} over the fundamental
     class, for the genus G whose table `genus_table(weight)` builds."""
-    model = ambient_model(params.n)
+    model = ambient_model(_instance(params, NormalInvariantParams, "normal invariant parameters").n)
     table = genus_table(model.presentation.top_degree // 4)
     ambient = evaluate_genus(table, model.tangent_pontryagin)
     xi_inverse = evaluate_genus(table, xi_total_class(params)).inverse()
@@ -127,7 +125,7 @@ def p1_cubed_total_space(params: NormalInvariantParams) -> Fraction:
 
     Its tangent bundle has p_1 = p_1(S^4 x HP^2) - p_1(xi) = 2z - lambda A u.
     """
-    if params.n != 2:
+    if _instance(params, NormalInvariantParams, "normal invariant parameters").n != 2:
         raise ValueError(f"p_1^3 is an invariant of the 12-dimensional case n = 2, got n = {params.n}")
     model = ambient_model(2)
     p1 = model.tangent_pontryagin.homogeneous_part(4) - xi_total_class(params).homogeneous_part(4)

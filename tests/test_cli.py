@@ -240,6 +240,10 @@ def test_manifold_report_selection(capsys):
         (["product:hp:2,,hp:2"], "empty factor in product descriptor 'product:hp:2,,hp:2'"),
         (["product:s:4"], "product descriptor needs at least two factors, got 'product:s:4'"),
         (["hp:1", "--report", ","], "empty report list"),
+        (["hp:"], "unsupported manifold descriptor 'hp:'"),
+        (["hp:3:4"], "unsupported manifold descriptor 'hp:3:4'"),
+        (["x:1"], "unsupported manifold descriptor 'x:1'"),
+        (["hp:\u0663"], "unsupported manifold descriptor 'hp:\u0663'"),
     ],
 )
 def test_manifold_input_errors_name_the_fault(capsys, argv, message):

@@ -4,18 +4,22 @@ and loads them on first use, the `genus` and `coeff` commands load neither
 unreferenced private helper or unbounded size, every public member of an
 exported class is read in src or shown in the README, every public entry
 that takes a size refuses a negative one and a fraction by the one rule and
-takes any `__index__` integer, the benchmark's tracer and worker still find
-what they wrap and call, and the first lib-sweep operations pass the
-benchmark's own checks."""
+takes any `__index__` integer, every public callable given a hostile value
+in place of any one argument returns or raises `ValueError` (bar the three
+`lru_cache` builders given a list) and a value of the wrong kind is refused
+by name, the benchmark's tracer and worker still find what they wrap and
+call, and the first lib-sweep operations pass the benchmark's own checks."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -246,6 +250,117 @@ class _Index:
 def test_every_size_takes_an_index_integer(entry):
     # 4 is a valid size of every entry
     assert _SIZED[entry](_Index(4)) == _SIZED[entry](4)
+
+
+def _valid_arguments() -> dict:
+    """Valid positional arguments of every public callable: each argument
+    without a default, and `sphere_model`'s one argument."""
+    hp2 = genuscalc.hp_model(2)
+    tangent = hp2.tangent_pontryagin
+    params = genuscalc.NormalInvariantParams(2, A=1)
+    return {
+        "BundleSolution": (params, Fraction(0), Fraction(1), None, ()),
+        "GenusTable": ([0, 1],),
+        "ManifoldModel": ("x", tangent),
+        "NormalInvariantParams": (2,),
+        "RingElement": (genuscalc.RingPresentation([("z", 4, 3)], 8), {}),
+        "RingPresentation": ([("z", 4, 3)], 8),
+        "Series": ([1, 1],),
+        "a_hat_genus": (hp2,),
+        "a_hat_total_space": (params,),
+        "ahat_genus_series": (2,),
+        "ahat_genus_table": (2,),
+        "ambient_model": (2,),
+        "evaluate_genus": (genuscalc.l_genus_table(2), tangent),
+        "factored_str": (tangent,),
+        "format_rational": (Fraction(1, 2),),
+        "genus_table": (genuscalc.l_genus_series(2),),
+        "hp_model": (2,),
+        "l_genus_series": (2,),
+        "l_genus_table": (2,),
+        "p1_cubed_total_space": (params,),
+        "parse_descriptor": ("hp:2",),
+        "parse_rational": ("1/2",),
+        "partition_terms": (tangent,),
+        "pont_character": (tangent, 2),
+        "pont_classes_from_character": ([tangent.homogeneous_part(4)],),
+        "product_model": (hp2, hp2),
+        "signature": (hp2,),
+        "solve_bundle": (2,),
+        "sphere_model": (4,),
+        "surgery_obstruction": (params,),
+        "xi_total_class": (params,),
+    }
+
+
+# Given in place of one argument at a time: no value, numbers of every kind,
+# text, sequences and an object of no kind at all.
+_HOSTILE = [None, 5, -1, 2.5, "x", Fraction(1, 2), [], [1], object()]
+
+# `functools.lru_cache` hashes the arguments before the builder reads them, so
+# a list gets `TypeError: unhashable type`; a wrapper that refused it would
+# hide the cache statistics `bench/tracer.py` reads from the two table builders.
+_CACHED_BUILDERS = {"ahat_genus_table", "ambient_model", "l_genus_table"}
+
+
+def test_every_public_callable_has_valid_arguments_listed():
+    valid = _valid_arguments()
+    assert sorted(valid) == _public_names()
+    for name, args in valid.items():
+        parameters = inspect.signature(getattr(genuscalc, name)).parameters.values()
+        assert len(args) >= sum(p.default is p.empty for p in parameters), name
+        getattr(genuscalc, name)(*args)
+
+
+@pytest.mark.parametrize("name", _public_names())
+def test_every_public_callable_returns_or_raises_value_error(name):
+    # the library's input contract, as `test_cli_fuzz.py` is the CLI's
+    entry, args = getattr(genuscalc, name), _valid_arguments()[name]
+    leaks = []
+    for i in range(len(args)):
+        for bad in _HOSTILE:
+            try:
+                entry(*args[:i], bad, *args[i + 1:])
+            except ValueError:
+                pass
+            except Exception as exc:
+                leaks.append((i, bad, type(exc).__name__))
+    unhashable = [(0, [], "TypeError"), (0, [1], "TypeError")]
+    assert leaks == (unhashable if name in _CACHED_BUILDERS else [])
+
+
+_PARAMS_EXPECTED = "expected normal invariant parameters, got "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: genuscalc.xi_total_class(5), _PARAMS_EXPECTED + "5"),
+        (lambda: genuscalc.surgery_obstruction(None), _PARAMS_EXPECTED + "None"),
+        (lambda: genuscalc.a_hat_total_space("x"), _PARAMS_EXPECTED + "'x'"),
+        (lambda: genuscalc.p1_cubed_total_space([]), _PARAMS_EXPECTED + "[]"),
+        (lambda: genuscalc.evaluate_genus(5, genuscalc.hp_model(1).tangent_pontryagin),
+         "expected a genus table, got 5"),
+        (lambda: genuscalc.genus_table([1]), "expected a series, got [1]"),
+        (lambda: genuscalc.parse_rational(5), "expected a string, got 5"),
+        (lambda: genuscalc.parse_descriptor(None), "expected a string, got None"),
+        (lambda: genuscalc.RingPresentation(5, 4), "expected (name, degree, nilpotency) triples, got 5"),
+        (lambda: genuscalc.RingPresentation([1], 4), "expected (name, degree, nilpotency) triples, got [1]"),
+        (lambda: genuscalc.RingElement(5, {}), "expected a ring presentation, got 5"),
+        (lambda: genuscalc.hp_model(1).presentation.element(5),
+         "expected a mapping of exponent vectors to scalars, got 5"),
+        (lambda: genuscalc.pont_classes_from_character(5), "expected a sequence of ring elements, got 5"),
+    ],
+    ids=[
+        "xi_total_class", "surgery_obstruction", "a_hat_total_space", "p1_cubed_total_space",
+        "evaluate_genus", "genus_table", "parse_rational", "parse_descriptor", "RingPresentation 5",
+        "RingPresentation [1]", "RingElement presentation", "RingElement terms", "pont_classes_from_character",
+    ],
+)
+def test_a_value_of_the_wrong_kind_is_refused_by_name(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 # What `bench/worker.py` calls in each layer during a lib-sweep operation.

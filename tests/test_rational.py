@@ -88,6 +88,12 @@ def test_format_rational_refuses_a_float():
         format_rational(None)
 
 
+def test_format_rational_reads_text_by_the_num_den_grammar():
+    assert format_rational(" 7 ") == "7" and format_rational("-2/4") == "-1/2"
+    with pytest.raises(ValueError, match=r"^malformed rational '1e3', expected num or num/den$"):
+        format_rational("1e3")
+
+
 def test_format_parse_round_trip():
     rng = random.Random(99)
     for _ in range(200):

@@ -210,6 +210,10 @@ def test_genus_table_is_a_record_of_its_log_coefficients():
         # nor is a value that is no sequence, or a scalar that is no number
         (5, "log coefficients must be a sequence of scalars, got 5"),
         ([0, None], "scalar None is not a rational; give an int, a Fraction or 'num/den'"),
+        # nor a mapping, read as its keys
+        ({0: 9, 1: 9}, "log coefficients must be a sequence of scalars, got {0: 9, 1: 9}"),
+        # and text scalars are read by the CLI's num/den grammar alone
+        ([0, "1e3"], "malformed rational '1e3', expected num or num/den"),
     ],
 )
 def test_genus_table_refuses_what_no_series_has_as_its_log(coefficients, message):

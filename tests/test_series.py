@@ -142,12 +142,19 @@ def test_float_coefficients_are_refused(bad, fault):
     assert Series([1, "1/10", Fraction(1, 3), 2]).coefficients[1:] == (Fraction(1, 10), Fraction(1, 3), 2)
 
 
-# 5 is no sequence at all, and is refused with the same message
-@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), 5])
+# 5 is no sequence at all, a mapping would be read as its keys and a set in no
+# fixed order, and each is refused with the same message
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), 5, {1: 5, 2: 7}, {3, 1, 2}])
 def test_text_is_not_read_as_a_sequence_of_digits(text):
     with pytest.raises(ValueError) as refused:
         Series(text)
     assert str(refused.value) == f"coefficients must be a sequence of scalars, got {text!r}"
+
+
+def test_lists_tuples_ranges_and_generators_are_read_in_order():
+    expected = Series([0, 1, 2])
+    assert Series((0, 1, 2)) == Series(range(3)) == Series(k for k in range(3)) == expected
+    assert expected.coefficients == (0, 1, 2)
 
 
 def test_repr_writes_the_coefficients_as_rationals():

@@ -69,6 +69,15 @@ def test_params_refuse_float_parameters(field):
     assert getattr(exact, field) == Fraction(1, 10)
 
 
+# library text scalars are read by the CLI's grammar, not by `Fraction`'s
+@pytest.mark.parametrize("text", ["\u0663", " 1.5 ", "1e3"], ids=["arabic-indic 3", "1.5", "1e3"])
+@pytest.mark.parametrize("field", ["A", "B", "C", "lam"])
+def test_params_refuse_text_outside_the_num_den_grammar(field, text):
+    with pytest.raises(ValueError) as refused:
+        NormalInvariantParams(2, **{field: text})
+    assert str(refused.value) == f"malformed rational {text!r}, expected num or num/den"
+
+
 def test_params_convert_n_to_an_int():
     class Four:
         def __index__(self):
