@@ -42,7 +42,7 @@ class ManifoldModel(FrozenRecord):
     __slots__ = ("name", "tangent_pontryagin")
 
     def __init__(self, name: str, tangent_pontryagin: RingElement) -> None:
-        super().__init__(name, tangent_pontryagin)
+        super().__init__(_instance(name, str, "a string"), tangent_pontryagin)
         if _presentation(tangent_pontryagin).top_degree != self.dimension:
             raise ValueError(
                 f"ring truncated at degree {self.presentation.top_degree} does not match "
@@ -80,7 +80,7 @@ def hp_model(n: int) -> ManifoldModel:
     return ManifoldModel(f"HP{n}", pres.element({(k,): p_k for k, p_k in enumerate(p)}))
 
 
-def sphere_model(k: int = 4) -> ManifoldModel:
+def sphere_model(k: int) -> ManifoldModel:
     """Sphere S^k for k divisible by 4, cohomology Q[u]/(u^2) with |u| = k.
 
     The tangent bundle is stably trivial, so the total Pontryagin class is 1.

@@ -67,8 +67,6 @@ def factored_str(poly: RingElement) -> str:
     """Render a polynomial in p_1..p_N over a single common denominator,
     e.g. ``(7*p2 - p1^2)/45``."""
     terms = partition_terms(poly)
-    if not terms:
-        return "0"
     denom = lcm(*(c.denominator for c in terms.values()))
     pairs = [(c * denom, _partition_monomial(p)) for p, c in terms.items()]
     body = signed_sum(pairs)

@@ -17,7 +17,7 @@ from math import gcd
 from operator import add, ge, index, mul
 
 from .formatting import signed_sum
-from .rational import _rational, _size
+from .rational import _instance, _rational, _size
 from .record import FrozenRecord
 from .series import _power, quotient_parts
 
@@ -55,21 +55,22 @@ class RingPresentation(FrozenRecord):
     __slots__ = ("names", "degrees", "nilpotencies", "top_degree")
 
     def __init__(self, generators: Iterable[tuple[str, int, int]], top_degree: int):
-        names, degrees, nilpotencies = [], [], []
         try:
-            for name, degree, nilpotency in generators:
-                name = str(name)
-                degree = _size(degree, f"degree of generator {name!r}", 0)
-                nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}", 1)
-                if not name or name in names:
-                    raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
-                if degree <= 0 or degree % 2:
-                    raise ValueError(f"generator {name!r} must have positive even degree, got {degree}")
-                names.append(name)
-                degrees.append(degree)
-                nilpotencies.append(nilpotency)
-        except TypeError:
+            triples = [(name, degree, nilpotency) for name, degree, nilpotency in generators]
+        except (TypeError, ValueError):
             raise ValueError(f"expected (name, degree, nilpotency) triples, got {generators!r}") from None
+        names, degrees, nilpotencies = [], [], []
+        for name, degree, nilpotency in triples:
+            name = _instance(name, str, "a string")
+            degree = _size(degree, f"degree of generator {name!r}", 0)
+            nilpotency = _size(nilpotency, f"nilpotency of generator {name!r}", 1)
+            if not name or name in names:
+                raise ValueError(f"generator names must be unique and nonempty, got {name!r}")
+            if degree <= 0 or degree % 2:
+                raise ValueError(f"generator {name!r} must have positive even degree, got {degree}")
+            names.append(name)
+            degrees.append(degree)
+            nilpotencies.append(nilpotency)
         top = _size(top_degree, "top degree", 0)
         super().__init__(tuple(names), tuple(degrees), tuple(nilpotencies), top)
 
@@ -116,13 +117,12 @@ class RingPresentation(FrozenRecord):
         return type(self), (self.generators, self.top_degree)
 
 
-class RingElement:
+class RingElement(FrozenRecord):
     """Element of a truncated graded-commutative ring, stored fully reduced."""
 
     __slots__ = ("_pres", "_terms")
 
     def __init__(self, presentation: RingPresentation, terms: Mapping[tuple[int, ...], Fraction | int]):
-        self._pres = presentation
         try:
             ngens, nils = presentation.ngens, presentation.nilpotencies
             degrees, top = presentation.degrees, presentation.top_degree
@@ -143,7 +143,8 @@ class RingElement:
                 clean[key] = total
             else:
                 del clean[key]
-        self._terms = clean
+        _set_pres(self, presentation)
+        _set_terms(self, clean)
 
     @property
     def presentation(self) -> RingPresentation:
@@ -168,13 +169,6 @@ class RingElement:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self._pres == other._pres
-            and self._terms == other._terms
-        )
-
     def __hash__(self) -> int:
         return hash((self._pres, frozenset(self._terms.items())))
 
@@ -191,8 +185,8 @@ class RingElement:
     def __neg__(self) -> RingElement:
         # the terms are reduced already, and so are their negatives
         neg = object.__new__(RingElement)
-        neg._pres = self._pres
-        neg._terms = {e: -c for e, c in self._terms.items()}
+        _set_pres(neg, self._pres)
+        _set_terms(neg, {e: -c for e, c in self._terms.items()})
         return neg
 
     def __mul__(self, other):
@@ -248,3 +242,7 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<RingElement {self}>"
+
+
+# Every product, sum and part writes the slots: their setters cost half of `object.__setattr__`.
+_set_pres, _set_terms = RingElement._pres.__set__, RingElement._terms.__set__

@@ -63,16 +63,6 @@ class BundleSolution(FrozenRecord):
 
     __slots__ = ("params", "sigma", "a_hat", "p1_cubed", "kernel_basis")
 
-    def __init__(
-        self,
-        params: NormalInvariantParams,
-        sigma: Fraction,
-        a_hat: Fraction,
-        p1_cubed: Fraction | None,
-        kernel_basis: tuple[tuple[Fraction, ...], ...],
-    ) -> None:
-        super().__init__(params, sigma, a_hat, p1_cubed, kernel_basis)
-
 
 @lru_cache(maxsize=None)
 def ambient_model(n: int) -> ManifoldModel:

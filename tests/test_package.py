@@ -254,7 +254,7 @@ def test_every_size_takes_an_index_integer(entry):
 
 def _valid_arguments() -> dict:
     """Valid positional arguments of every public callable: each argument
-    without a default, and `sphere_model`'s one argument."""
+    without a default."""
     hp2 = genuscalc.hp_model(2)
     tangent = hp2.tangent_pontryagin
     params = genuscalc.NormalInvariantParams(2, A=1)
@@ -346,6 +346,14 @@ _PARAMS_EXPECTED = "expected normal invariant parameters, got "
         (lambda: genuscalc.parse_descriptor(None), "expected a string, got None"),
         (lambda: genuscalc.RingPresentation(5, 4), "expected (name, degree, nilpotency) triples, got 5"),
         (lambda: genuscalc.RingPresentation([1], 4), "expected (name, degree, nilpotency) triples, got [1]"),
+        (lambda: genuscalc.RingPresentation("x", 4), "expected (name, degree, nilpotency) triples, got 'x'"),
+        (lambda: genuscalc.RingPresentation([("z", 4)], 4),
+         "expected (name, degree, nilpotency) triples, got [('z', 4)]"),
+        (lambda: genuscalc.RingPresentation([("z", 4, 2, 9)], 4),
+         "expected (name, degree, nilpotency) triples, got [('z', 4, 2, 9)]"),
+        (lambda: genuscalc.RingPresentation([(5, 4, 2)], 4), "expected a string, got 5"),
+        (lambda: genuscalc.ManifoldModel(None, genuscalc.hp_model(1).tangent_pontryagin),
+         "expected a string, got None"),
         (lambda: genuscalc.RingElement(5, {}), "expected a ring presentation, got 5"),
         (lambda: genuscalc.hp_model(1).presentation.element(5),
          "expected a mapping of exponent vectors to scalars, got 5"),
@@ -354,7 +362,9 @@ _PARAMS_EXPECTED = "expected normal invariant parameters, got "
     ids=[
         "xi_total_class", "surgery_obstruction", "a_hat_total_space", "p1_cubed_total_space",
         "evaluate_genus", "genus_table", "parse_rational", "parse_descriptor", "RingPresentation 5",
-        "RingPresentation [1]", "RingElement presentation", "RingElement terms", "pont_classes_from_character",
+        "RingPresentation [1]", "RingPresentation 'x'", "RingPresentation pair",
+        "RingPresentation quadruple", "RingPresentation name", "ManifoldModel name", "RingElement presentation",
+        "RingElement terms", "pont_classes_from_character",
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_by_name(call, message):

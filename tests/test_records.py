@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import genuscalc
 from genuscalc import (
     BundleSolution,
     GenusTable,
@@ -83,14 +84,10 @@ def test_bundle_solution_is_a_frozen_value():
     _assert_frozen(solution, "sigma")
     again = solve_bundle(2)
     assert solution == again and hash(solution) == hash(again)
-    by_keyword = BundleSolution(
-        params=solution.params,
-        sigma=solution.sigma,
-        a_hat=solution.a_hat,
-        p1_cubed=solution.p1_cubed,
-        kernel_basis=solution.kernel_basis,
+    rebuilt = BundleSolution(
+        solution.params, solution.sigma, solution.a_hat, solution.p1_cubed, solution.kernel_basis
     )
-    assert by_keyword == solution
+    assert rebuilt == solution
     assert BundleSolution(solution.params, 1, 2, None, ()) != solution
     assert repr(solution) == (
         "BundleSolution(params=NormalInvariantParams(n=2, A=Fraction(28, 1), "
@@ -136,6 +133,7 @@ def test_manifold_model_refuses_a_ring_not_truncated_at_its_fundamental_degree(t
     [
         (lambda: RingPresentation([("u", 4, 2), ("z", 4, 3)], 12), "top_degree"),
         (lambda: Series([1, "1/3", "-1/45"]), "coefficients"),
+        (lambda: hp_model(2).tangent_pontryagin, "_terms"),
     ],
 )
 def test_presentations_and_series_are_frozen_values(make, field):
@@ -144,6 +142,12 @@ def test_presentations_and_series_are_frozen_values(make, field):
     assert value == same and value is not same
     assert hash(value) == hash(same)
     assert len({value, same}) == 1
+
+
+def test_every_exported_class_is_a_frozen_record():
+    exported = [getattr(genuscalc, name) for name in genuscalc.__all__]
+    classes = [value for value in exported if isinstance(value, type)]
+    assert classes and [c.__name__ for c in classes if not issubclass(c, FrozenRecord)] == []
 
 
 def test_presentation_fields_are_its_generator_columns():
@@ -170,7 +174,7 @@ def test_records_copy_and_pickle(clone):
     assert clone(series) == series
     table = l_genus_table(4)
     assert clone(table).polys == table.polys
-    for record in (params, solution, pres, series, model, table):
+    for record in (params, solution, pres, series, model, table, model.tangent_pontryagin):
         twin = clone(record)
         assert twin == record and record == twin and hash(twin) == hash(record)
 
@@ -181,6 +185,7 @@ def test_a_record_equals_itself_without_reading_its_fields(monkeypatch):
         solve_bundle(2),
         RingPresentation([("z", 4, 3)], 8),
         Series([1, "1/3"]),
+        hp_model(2).tangent_pontryagin,
     )
     monkeypatch.setattr(FrozenRecord, "_values", lambda self: pytest.fail("fields were read"))
     for record in records:
