@@ -22,7 +22,7 @@ class FrozenRecord:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(map(self.__getattribute__, self.__slots__))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

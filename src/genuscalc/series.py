@@ -137,19 +137,18 @@ def l_genus_series(order: int) -> Series:
     i.e. [sum z^k/(2k)!] / [sum z^k/(2k+1)!].
     """
     order = _size(order, "series order", 0)
-    num = Series([Fraction(1, factorial(2 * k)) for k in range(order + 1)], order)
-    den = Series([Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)], order)
-    return Series(quotient_parts(num.coefficients, den.coefficients), order)
+    num = [Fraction(1, factorial(2 * k)) for k in range(order + 1)]
+    den = [Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)]
+    return Series(quotient_parts(num, den), order)
 
 
 def ahat_genus_series(order: int) -> Series:
     """A-hat genus series (sqrt(z)/2)/sinh(sqrt(z)/2) up to z^order.
 
-    Computed as the exact inverse of sinh(t)/t with t = sqrt(z)/2,
-    i.e. the inverse of sum z^k/(4^k (2k+1)!).
+    Computed as the exact quotient of 1 by sinh(t)/t with t = sqrt(z)/2,
+    i.e. 1 / [sum z^k/(4^k (2k+1)!)].
     """
     order = _size(order, "series order", 0)
-    den = Series(
-        [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(order + 1)], order
-    )
-    return den.inverse()
+    num = [Fraction(1)] + [Fraction(0)] * order
+    den = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(order + 1)]
+    return Series(quotient_parts(num, den), order)

@@ -12,7 +12,7 @@ product cohomology ring, with no precomputed constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from .manifolds import ManifoldModel, hp_model, product_model, signature, sphere_model
@@ -124,30 +124,26 @@ def p1_cubed_total_space(params: NormalInvariantParams) -> Fraction:
 
 def _primitive_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
     """Scale to a primitive integer vector whose first nonzero entry is positive."""
-    if not any(vec):
-        raise ValueError("cannot normalize the zero vector")
-    denom = reduce(lcm, (c.denominator for c in vec), 1)
+    denom = lcm(*(c.denominator for c in vec))
     scaled = [c * denom for c in vec]
-    common = reduce(gcd, (abs(c.numerator) for c in scaled), 0)
-    scaled = [c / common for c in scaled]
-    leading = next(c for c in scaled if c)
-    if leading < 0:
-        scaled = [-c for c in scaled]
-    return tuple(scaled)
+    common = gcd(*(c.numerator for c in scaled)) * (1 if next(filter(None, scaled)) > 0 else -1)
+    return tuple(c / common for c in scaled)
 
 
 def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     """Find bundle parameters with sigma = 0 and nonzero total-space A-hat genus.
 
-    The parameters are (A, B, C) for n = 2 and (A, C) for even n > 2.  The
-    sigma = 0 kernel is solved for the first parameter with a nonzero sigma
-    coefficient, and its basis is returned in primitive integer form: a plane
-    for n = 2, a line otherwise.  The representative is the first basis vector
-    with nonzero A-hat genus.  With require_section set (n = 2 only), A is
-    pinned to 0 and the representative is scaled so that B and C are the
-    coefficients of 8 sigma read crosswise, i.e. (0, -8 sigma_C, 8 sigma_B).
-    All sigma coefficients come from honest ring evaluations, not stored
-    constants.
+    The parameters are (A, B, C) for n = 2 and (A, C) for even n > 2.  Two
+    facts fix the answer, so nothing is searched.  sigma's A coefficient c_A
+    is -sig(HP^n)/24 (at A = 1, L(xi)^{-1} = 1 - u/3 and S^4 x HP^n has
+    signature 0): -1/24 at every even n, and 0 at odd n, which is refused.
+    So the sigma = 0 kernel is solved for A; its basis holds e_j - (c_j / c_A) e_A,
+    in primitive integer form, for each other parameter j.  The A-hat genus
+    has no A term, as A-hat(HP^n) = 0, while its B term (n = 2) and its C
+    term, which carries a Bernoulli number, are nonzero; so the first basis
+    vector is the representative.  With require_section set (n = 2 only) it
+    is (0, -8 sigma_C, 8 sigma_B) instead.  Every sigma coefficient comes
+    from a ring evaluation, not a stored constant.
     """
     n = _size(n, "fibre projective dimension", 0)
     if n < 2 or n % 2:
@@ -155,31 +151,20 @@ def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     if require_section and n != 2:
         raise ValueError(f"a section can only be required when n = 2, got n = {n}")
     names = ("A", "B", "C") if n == 2 else ("A", "C")
-
-    def params_of(vec) -> NormalInvariantParams:
-        return NormalInvariantParams(n, **dict(zip(names, vec)))
-
-    units = [[Fraction(i == j) for j in range(len(names))] for i in range(len(names))]
-    coeffs = [surgery_obstruction(params_of(unit)) for unit in units]
-    pivot = next((i for i, c in enumerate(coeffs) if c), None)
-    if pivot is None:
+    c_a, *coeffs = (surgery_obstruction(NormalInvariantParams(n, **{name: 1})) for name in names)
+    if not c_a:
         raise RuntimeError("obstruction functional vanished identically")
-    basis = []
-    for j, unit in enumerate(units):
-        if j != pivot:
-            vec = list(unit)
-            vec[pivot] = -coeffs[j] / coeffs[pivot]
-            basis.append(_primitive_vector(vec))
-    candidates = [(Fraction(0), -8 * coeffs[2], 8 * coeffs[1])] if require_section else basis
-    for rep in candidates:
-        params = params_of(rep)
-        a_hat = a_hat_total_space(params)
-        if a_hat:
-            break
-    else:
+    basis = tuple(
+        _primitive_vector([-c / c_a, *(Fraction(i == j) for i in range(len(coeffs)))])
+        for j, c in enumerate(coeffs)
+    )
+    rep = (Fraction(0), -8 * coeffs[1], 8 * coeffs[0]) if require_section else basis[0]
+    params = NormalInvariantParams(n, **dict(zip(names, rep)))
+    a_hat = a_hat_total_space(params)
+    if not a_hat:
         raise RuntimeError("no candidate representative has nonzero A-hat genus")
     sigma = surgery_obstruction(params)
     if sigma:
         raise RuntimeError(f"representative fails sigma = 0: {sigma}")
     p1_cubed = p1_cubed_total_space(params) if n == 2 else None
-    return BundleSolution(params, sigma, a_hat, p1_cubed, tuple(basis))
+    return BundleSolution(params, sigma, a_hat, p1_cubed, basis)

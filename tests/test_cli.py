@@ -93,22 +93,43 @@ _WEIGHT_SIXTEEN_SHA256 = {
 }
 
 
-def _genus_sha256(capsys, weight, series, fmt):
-    status, out, err = _invoke(
-        capsys, ["genus", "--series", series, "--weight", str(weight), "--format", fmt]
-    )
+# sha256 of `solve-bundle --n <n>` stdout beyond the sweep's n <= 12, recorded
+# while solve_bundle still searched sigma's coefficients for a pivot and the
+# kernel basis for a representative with A-hat != 0
+_SOLVE_BUNDLE_SHA256 = {
+    (14, "text"): "f4c8f3a9759516e215ecf1d0a7f4b82c6e7f21b16ed9b8f5b9373ee13c64fa48",
+    (14, "json"): "3292da7988e8f1f0b9671acab70b9515cd1869ae47dc9cf399c2969687cf06df",
+    (20, "text"): "82166fd758c442422f1b75a0d91fff1f8c813f43af2c918f213483d2c150d9e0",
+    (20, "json"): "6d65379f35e8acfddc9f7b3d1456304e2e926adc01a2e06e20f52f61e87d62d5",
+    (30, "text"): "5bc39a4eb3dcc11259e57ae116122bd3209e7a1fc2d7ad3f6a7ea53717bafad1",
+    (30, "json"): "da342d6ac632958196f29cf4e95dd953576bbf8cf2cd082c3d7e26b3a5883a11",
+    (46, "text"): "9d6eb735cc0d732c68d85f02dbbb4a8a500af62bb403d7b8c92901dec1f2abd8",
+    (46, "json"): "18f4ee082776d519c68f119ba8e01d9273948a3988b06917b062177e09863d12",
+}
+
+
+def _stdout_sha256(capsys, argv, fmt):
+    status, out, err = _invoke(capsys, [*argv, "--format", fmt])
     assert status == 0 and err == ""
     return hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("series, fmt", sorted(_WEIGHT_TEN_SHA256))
 def test_weight_ten_genus_output_is_pinned(capsys, series, fmt):
-    assert _genus_sha256(capsys, 10, series, fmt) == _WEIGHT_TEN_SHA256[series, fmt]
+    argv = ["genus", "--series", series, "--weight", "10"]
+    assert _stdout_sha256(capsys, argv, fmt) == _WEIGHT_TEN_SHA256[series, fmt]
 
 
 @pytest.mark.parametrize("series, fmt", sorted(_WEIGHT_SIXTEEN_SHA256))
 def test_weight_sixteen_genus_output_is_pinned(capsys, series, fmt):
-    assert _genus_sha256(capsys, 16, series, fmt) == _WEIGHT_SIXTEEN_SHA256[series, fmt]
+    argv = ["genus", "--series", series, "--weight", "16"]
+    assert _stdout_sha256(capsys, argv, fmt) == _WEIGHT_SIXTEEN_SHA256[series, fmt]
+
+
+@pytest.mark.parametrize("n, fmt", sorted(_SOLVE_BUNDLE_SHA256))
+def test_large_n_solve_bundle_output_is_pinned(capsys, n, fmt):
+    argv = ["solve-bundle", "--n", str(n)]
+    assert _stdout_sha256(capsys, argv, fmt) == _SOLVE_BUNDLE_SHA256[n, fmt]
 
 
 _ERROR_ARGVS = [
@@ -450,12 +471,13 @@ def test_oversized_inputs_are_refused_quickly(capsys, argv, message):
 def test_integer_arguments_are_capped_whatever_the_interpreter_allows():
     # with the interpreter's own limit off, int() would convert and the
     # refusal would echo all 100,000 digits
+    package_root = str(Path(genuscalc.__file__).resolve().parents[1])
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "genuscalc", "surgery", "--n", "9" * 100_000],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"},
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0", "PYTHONPATH": package_root},
     )
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2 and proc.stdout == ""
@@ -549,10 +571,12 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    package_root = str(Path(genuscalc.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "genuscalc", "genus", "--series", "L", "--weight", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0
     assert proc.stdout == "K_1 = p1/3\nK_2 = (7*p2 - p1^2)/45\n"

@@ -238,7 +238,7 @@ def test_general_obstruction_coefficients_frozen_n2():
 
 
 def test_general_coefficients_match_direct_ring_evaluation():
-    for n in range(2, 13):
+    for n in (*range(2, 13), 46):
         assert _obstruction_coefficients(n) == pair_mode_obstruction_coefficients(n), n
     # sig(HP^n) = 0 at odd n, so A drops out of sigma there
     assert _obstruction_coefficients(3) == (0, Fraction(2032, 15))
@@ -246,7 +246,10 @@ def test_general_coefficients_match_direct_ring_evaluation():
 
 def test_general_a_hat_coefficient_matches_direct_evaluation():
     assert a_hat_total_space(NormalInvariantParams(2, C=1)) == Fraction(1, 504)
-    for n in (2, 4, 6, 8, 10, 12):
+    # A-hat(HP^n) = 0, so A drops out of the A-hat genus; B (n = 2) and C do not
+    assert a_hat_total_space(NormalInvariantParams(2, B=1)) == Fraction(1, 2880)
+    for n in (2, 4, 6, 8, 10, 12, 46):
+        assert a_hat_total_space(NormalInvariantParams(n, A=1)) == 0, n
         coeff = a_hat_total_space(NormalInvariantParams(n, C=1))
         assert coeff == pair_mode_a_hat_coefficient(n) != 0, n
 
@@ -282,9 +285,10 @@ def test_solve_bundle_require_section_frozen_triple():
 
 
 def test_solve_bundle_even_n_pair_mode():
-    for n in (4, 6):
+    for n in (4, 6, 46):
         solution = solve_bundle(n)
         params = solution.params
+        assert (params.A, params.C) == solution.kernel_basis[0]
         assert params.B == 0
         assert params.C != 0
         assert solution.sigma == 0
@@ -306,6 +310,13 @@ def test_solve_bundle_rejects_unsupported_modes():
         solve_bundle(1)
     with pytest.raises(ValueError):
         solve_bundle(4, require_section=True)
+
+
+def test_solve_bundle_refuses_a_vanishing_obstruction_functional(monkeypatch):
+    # a broken sigma route ends in the solver's RuntimeError, not in a division by zero
+    monkeypatch.setattr("genuscalc.surgery.surgery_obstruction", lambda params: Fraction(0))
+    with pytest.raises(RuntimeError, match="^obstruction functional vanished identically$"):
+        solve_bundle(2)
 
 
 def _linear_bundle_class(n, k, sign=1):
