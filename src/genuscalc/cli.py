@@ -83,7 +83,7 @@ def _params_from(args: argparse.Namespace):
 
 def _params_payload(params, **values) -> dict:
     named = {"A": params.A, "B": params.B, "C": params.C, "lambda": params.lam}
-    return {"n": params.n, "params": {k: format_rational(v) for k, v in named.items()}, **values}
+    return {"n": params.n, "params": named, **values}
 
 
 def _lines(payload: dict) -> list[str]:
@@ -100,7 +100,7 @@ def _lines(payload: dict) -> list[str]:
 
 def _cmd_coeff(args: argparse.Namespace):
     _check_cap("--weight", args.weight, COEFF_MAX_WEIGHT)
-    values = [format_rational(c) for c in _SERIES[args.series](args.weight).coefficients]
+    values = _SERIES[args.series](args.weight).coefficients
     payload = {"series": args.series, "weight": args.weight, "coefficients": values}
     return [f"z^{k}: {v}" for k, v in enumerate(values)], payload
 
@@ -110,10 +110,7 @@ def _cmd_genus(args: argparse.Namespace):
     table = _TABLES[args.series](args.weight)
     polys = []
     for i, poly in enumerate(table.polys, start=1):
-        terms = [
-            {"partition": list(part), "coefficient": format_rational(coeff)}
-            for part, coeff in partition_terms(poly).items()
-        ]
+        terms = [{"partition": part, "coefficient": coeff} for part, coeff in partition_terms(poly).items()]
         polys.append({"weight": i, "text": factored_str(poly), "terms": terms})
     payload = {"series": args.series, "weight": args.weight, "polys": polys}
     return [f"K_{p['weight']} = {p['text']}" for p in polys], payload
@@ -133,14 +130,12 @@ def _cmd_manifold(args: argparse.Namespace):
             raise CommandError(f"duplicate report {r!r}")
     if not wanted:
         raise CommandError("empty report list")
-    payload: dict = {"manifold": model.name, "dimension": model.dimension}
-    for r in wanted:
-        if r == "pontryagin":
-            payload[r] = str(model.tangent_pontryagin)
-        elif r == "signature":
-            payload[r] = format_rational(signature(model))
-        else:
-            payload[r] = format_rational(a_hat_genus(model))
+    readers = {
+        "pontryagin": lambda: str(model.tangent_pontryagin),
+        "signature": lambda: signature(model),
+        "ahat": lambda: a_hat_genus(model),
+    }
+    payload = {"manifold": model.name, "dimension": model.dimension, **{r: readers[r]() for r in wanted}}
     return _lines(payload), payload
 
 
@@ -157,18 +152,13 @@ def _cmd_pontryagin(args: argparse.Namespace):
     return lines, {**payload, "total": str(total), "classes": classes}
 
 
-def _invariant_payload(params, sigma, a_hat, p1_cubed) -> dict:
-    """Payload shared by `surgery` and `solve-bundle`; p1_cubed is None when n != 2."""
-    values = {"sigma": sigma, "a_hat": a_hat, "p1_cubed": p1_cubed}
-    return _params_payload(params, **{k: None if v is None else format_rational(v) for k, v in values.items()})
-
-
 def _cmd_surgery(args: argparse.Namespace):
     from .surgery import a_hat_total_space, p1_cubed_total_space, surgery_obstruction
 
     params = _params_from(args)
     p1_cubed = p1_cubed_total_space(params) if params.n == 2 else None
-    payload = _invariant_payload(params, surgery_obstruction(params), a_hat_total_space(params), p1_cubed)
+    sigma, a_hat = surgery_obstruction(params), a_hat_total_space(params)
+    payload = _params_payload(params, sigma=sigma, a_hat=a_hat, p1_cubed=p1_cubed)
     return _lines(payload), payload
 
 
@@ -176,9 +166,9 @@ def _cmd_solve_bundle(args: argparse.Namespace):
     from .surgery import solve_bundle
 
     solution = solve_bundle(_fibre_n(args), require_section=args.require_section)
-    payload = _invariant_payload(solution.params, solution.sigma, solution.a_hat, solution.p1_cubed)
-    basis = [[format_rational(c) for c in vec] for vec in solution.kernel_basis]
-    lines = _lines(payload) + ["kernel_basis: " + "; ".join("[" + ", ".join(vec) + "]" for vec in basis)]
+    payload = _params_payload(solution.params, sigma=solution.sigma, a_hat=solution.a_hat, p1_cubed=solution.p1_cubed)
+    basis = solution.kernel_basis
+    lines = _lines(payload) + ["kernel_basis: " + "; ".join(f"[{', '.join(map(str, vec))}]" for vec in basis)]
     return lines, {**payload, "kernel_basis": basis}
 
 
@@ -229,7 +219,7 @@ def run(argv: list[str]) -> int:
         if args.format == "json":
             import json
 
-            lines = [json.dumps(payload, indent=2)]
+            lines = [json.dumps(payload, indent=2, default=format_rational)]
         for line in lines:
             print(line)
         sys.stdout.flush()

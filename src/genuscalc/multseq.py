@@ -54,8 +54,11 @@ def partition_terms(poly: RingElement) -> dict[Partition, Fraction]:
     """Terms of a polynomial in p_1..p_N keyed by partitions: the monomial
     p_1^{e_1} ... p_N^{e_N} becomes e_i parts equal to i, largest parts first.
     The terms come in display order: ascending weight, then descending
-    lexicographic within a weight."""
-    n = _presentation(poly).ngens
+    lexicographic within a weight.  Generator i must have degree 4i."""
+    pres = _presentation(poly)
+    n = pres.ngens
+    if pres.degrees != tuple(range(4, 4 * n + 1, 4)):
+        raise ValueError(f"expected a polynomial in p_1..p_N with |p_i| = 4i, got {poly!r}")
     terms = {
         tuple(i for i in range(n, 0, -1) for _ in range(exps[i - 1])): c
         for exps, c in poly.terms.items()

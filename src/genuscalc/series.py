@@ -30,9 +30,9 @@ __all__ = ["Series", "ahat_genus_series", "l_genus_series"]
 
 def _convolve(a: Sequence, b: Sequence, n: int, start):
     """start + sum_{k=1..n} a_k b_{n-k}, skipping zero factors; ring terms are
-    added by their ring's one-construction sum, Fractions by `sum`."""
+    added by their ring's one-construction sum, ints and Fractions by `sum`."""
     products = (a[k] * b[n - k] for k in range(1, n + 1) if a[k] and b[n - k])
-    if isinstance(start, Fraction):
+    if isinstance(start, (int, Fraction)):
         return sum(products, start)
     return start.presentation._sum(chain((start,), products))
 

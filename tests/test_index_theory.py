@@ -26,6 +26,7 @@ from genuscalc import (
     parse_descriptor,
     pont_character,
 )
+from oracles import partitions
 from test_surgery import _linear_bundle_class
 
 
@@ -127,14 +128,6 @@ def _ko_pontryagin_characters(model):
     return [sum((b[j] * v for b, v in zip(basis, values)), zero) for j in range(weight + 1)]
 
 
-def _partitions(total, largest):
-    if not total:
-        yield ()
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part, *rest)
-
-
 def _ko_characteristic_numbers(model):
     """A-hat(M; pi^J) = integral of A-hat(TM) prod_i ch(pi^{J_i}), |J| <= W."""
     weight = model.dimension // 4
@@ -142,7 +135,7 @@ def _ko_characteristic_numbers(model):
     a_hat = evaluate_genus(ahat_genus_table(weight), model.tangent_pontryagin)
     numbers = {}
     for size in range(weight + 1):
-        for J in _partitions(size, size):
+        for J in partitions(size):
             twist = model.presentation.one()
             for j in J:
                 twist = twist * ch[j]

@@ -358,13 +358,15 @@ _PARAMS_EXPECTED = "expected normal invariant parameters, got "
         (lambda: genuscalc.hp_model(1).presentation.element(5),
          "expected a mapping of exponent vectors to scalars, got 5"),
         (lambda: genuscalc.pont_classes_from_character(5), "expected a sequence of ring elements, got 5"),
+        (lambda: genuscalc.factored_str(genuscalc.ambient_model(2).tangent_pontryagin),
+         "expected a polynomial in p_1..p_N with |p_i| = 4i, got <RingElement 1 + 2*z + 7*z^2>"),
     ],
     ids=[
         "xi_total_class", "surgery_obstruction", "a_hat_total_space", "p1_cubed_total_space",
         "evaluate_genus", "genus_table", "parse_rational", "parse_descriptor", "RingPresentation 5",
         "RingPresentation [1]", "RingPresentation 'x'", "RingPresentation pair",
         "RingPresentation quadruple", "RingPresentation name", "ManifoldModel name", "RingElement presentation",
-        "RingElement terms", "pont_classes_from_character",
+        "RingElement terms", "pont_classes_from_character", "factored_str ring",
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_by_name(call, message):

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from genuscalc import Series, ahat_genus_series, l_genus_series
-from genuscalc.series import quotient_parts
+from genuscalc.series import exp_parts, quotient_parts
 from oracles import (
     bernoulli,
     binomial_inverse_product,
@@ -82,6 +82,9 @@ def test_quotient_route_matches_the_former_inverse_and_log_routes():
             unit = [c / c0 for c in coeffs]
             quotient = Series(quotient_parts(graded, unit), order)
             assert quotient == Series(graded, order) * Series(unit, order).inverse()
+    # int parts take the Fraction path, not the ring one
+    assert quotient_parts([1, 0], [1, 2]) == [1, -2]
+    assert exp_parts([0, 1, 0], 1) == [1, 1, Fraction(1, 2)]
 
 
 def test_l_series_quotient_matches_the_former_product_with_an_inverse():
