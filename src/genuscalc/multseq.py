@@ -22,7 +22,7 @@ from itertools import groupby
 from math import factorial, gcd, lcm
 
 from .formatting import signed_sum
-from .rational import _instance, _rationals, _size
+from .rational import _instance, _rationals, _sequence, _size
 from .record import FrozenRecord
 from .ring import RingElement, RingPresentation, _presentation
 from .series import Series, ahat_genus_series, exp_parts, l_genus_series, quotient_parts
@@ -242,10 +242,7 @@ def pont_classes_from_character(character: list[RingElement]) -> RingElement:
     p = exp(sum_k (-1)^{k+1} s_k / k), whose exponent has D-parts
     (-1)^{k+1} (2k)! ph_k / 2.  The result has no parts above degree 4N.
     """
-    try:
-        components = list(character)
-    except TypeError:
-        raise ValueError(f"expected a sequence of ring elements, got {character!r}") from None
+    components = _sequence(character, "expected a sequence of ring elements")
     if not components:
         raise ValueError("need at least one character component")
     pres = _presentation(components[0])

@@ -4,8 +4,8 @@ argument that comes from outside the package.
 Every computation in this package runs on `fractions.Fraction`.  Results
 are always in canonical reduced form with a positive denominator; nothing is
 ever rounded.  Sizes are integers in their range, scalars are not floats, text
-is read by one num/den grammar with at most 1,000 digits per integer, and
-records and text must be of their class.
+is read by one num/den grammar with at most 1,000 digits per integer, a
+sequence is no text, mapping or set, and records and text are of their class.
 """
 
 from __future__ import annotations
@@ -56,11 +56,17 @@ def _rational(value) -> Fraction:
         raise ValueError(f"scalar {value!r} is not a rational; give an int, a Fraction or 'num/den'") from None
 
 
-def _rationals(values, what: str) -> list[Fraction]:
-    """Scalars as Fractions; text, a mapping, a set and a non-sequence are refused, not read."""
+def _sequence(values, refusal: str) -> list:
+    """The items of a sequence as a list; text, a mapping, a set and a
+    non-iterable are refused with `refusal`, not read."""
     if isinstance(values, (str, bytes, bytearray, Mapping, Set)) or not hasattr(values, "__iter__"):
-        raise ValueError(f"{what} must be a sequence of scalars, got {values!r}")
-    return [_rational(v) for v in values]
+        raise ValueError(f"{refusal}, got {values!r}")
+    return list(values)
+
+
+def _rationals(values, what: str) -> list[Fraction]:
+    """Scalars as Fractions, read from a sequence by `_sequence`."""
+    return [_rational(v) for v in _sequence(values, f"{what} must be a sequence of scalars")]
 
 
 def _parse_natural(text: str) -> int:

@@ -17,7 +17,7 @@ from math import gcd
 from operator import add, ge, index, mul
 
 from .formatting import signed_sum
-from .rational import _instance, _rational, _size
+from .rational import _instance, _rational, _sequence, _size
 from .record import FrozenRecord
 from .series import _power, quotient_parts
 
@@ -43,10 +43,7 @@ def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
 
 def _presentation(element) -> RingPresentation:
     """The presentation of a ring element; anything else is refused."""
-    try:
-        return element._pres
-    except AttributeError:
-        raise ValueError(f"expected a ring element, got {element!r}") from None
+    return _instance(element, RingElement, "a ring element")._pres
 
 
 class RingPresentation(FrozenRecord):
@@ -55,10 +52,11 @@ class RingPresentation(FrozenRecord):
     __slots__ = ("names", "degrees", "nilpotencies", "top_degree")
 
     def __init__(self, generators: Iterable[tuple[str, int, int]], top_degree: int):
+        refusal = "expected (name, degree, nilpotency) triples"
         try:
-            triples = [(name, degree, nilpotency) for name, degree, nilpotency in generators]
+            triples = [(name, degree, nilpotency) for name, degree, nilpotency in _sequence(generators, refusal)]
         except (TypeError, ValueError):
-            raise ValueError(f"expected (name, degree, nilpotency) triples, got {generators!r}") from None
+            raise ValueError(f"{refusal}, got {generators!r}") from None
         names, degrees, nilpotencies = [], [], []
         for name, degree, nilpotency in triples:
             name = _instance(name, str, "a string")
@@ -96,7 +94,7 @@ class RingPresentation(FrozenRecord):
 
     def _check_member(self, element: RingElement) -> None:
         """Refuse a non-element, or an element of another presentation."""
-        if _presentation(element) != self:
+        if _presentation(element) is not self and element._pres != self:
             raise ValueError("ring elements come from different presentations")
 
     def _sum(self, elements: Iterable[RingElement]) -> RingElement:
@@ -123,11 +121,8 @@ class RingElement(FrozenRecord):
     __slots__ = ("_pres", "_terms")
 
     def __init__(self, presentation: RingPresentation, terms: Mapping[tuple[int, ...], Fraction | int]):
-        try:
-            ngens, nils = presentation.ngens, presentation.nilpotencies
-            degrees, top = presentation.degrees, presentation.top_degree
-        except AttributeError:
-            raise ValueError(f"expected a ring presentation, got {presentation!r}") from None
+        pres = _instance(presentation, RingPresentation, "a ring presentation")
+        ngens, nils, degrees, top = pres.ngens, pres.nilpotencies, pres.degrees, pres.top_degree
         try:
             items = dict(terms).items()
         except (TypeError, ValueError):

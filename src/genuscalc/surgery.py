@@ -64,9 +64,14 @@ class BundleSolution(FrozenRecord):
     __slots__ = ("params", "sigma", "a_hat", "p1_cubed", "kernel_basis")
 
 
-@lru_cache(maxsize=None)
 def ambient_model(n: int) -> ManifoldModel:
     """The base manifold S^4 x HP^n with cohomology Q[u, z]/(u^2, z^{n+1})."""
+    return _ambient_model(_size(n, "projective dimension", 1))
+
+
+# One model per n, so that ring-membership checks stay identity tests.
+@lru_cache(maxsize=None)
+def _ambient_model(n: int) -> ManifoldModel:
     return product_model(sphere_model(4), hp_model(n))
 
 

@@ -130,6 +130,15 @@ def generator(pres, name: str):
     return pres.element({tuple(int(i == place) for i in range(pres.ngens)): 1})
 
 
+def monomials(pres, step: int = 2) -> list[tuple[int, ...]]:
+    """Exponent vectors of every monomial of a ring presentation up to its top
+    degree whose degree is divisible by step, in lexicographic order."""
+    out = [()]
+    for n in pres.nilpotencies:
+        out = [e + (i,) for e in out for i in range(n)]
+    return [e for e in out if (d := pres.monomial_degree(e)) <= pres.top_degree and d % step == 0]
+
+
 def binomial_inverse_product(exponent: int, c: int, order: int) -> list[Fraction]:
     """Coefficients of (1+z)^exponent * (1+cz)^{-1} summed directly from comb."""
     return [

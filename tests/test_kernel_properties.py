@@ -21,7 +21,7 @@ from genuscalc import (
     pont_character,
     pont_classes_from_character,
 )
-from oracles import generator, naive_reduced_product, var_poly_add, var_poly_scale
+from oracles import generator, monomials, naive_reduced_product, var_poly_add, var_poly_scale
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -43,22 +43,10 @@ def presentations(draw):
     )
 
 
-def _monomials(pres, step=2):
-    out = [()]
-    for n in pres.nilpotencies:
-        out = [e + (i,) for e in out for i in range(n)]
-    return [
-        e
-        for e in out
-        if pres.monomial_degree(e) <= pres.top_degree
-        and pres.monomial_degree(e) % step == 0
-    ]
-
-
 def _element(draw, pres, constant, step=2):
     """Random element with the given constant term, supported in degrees
     divisible by step."""
-    terms = {e: draw(rationals) for e in _monomials(pres, step) if any(e)}
+    terms = {e: draw(rationals) for e in monomials(pres, step) if any(e)}
     terms[(0,) * pres.ngens] = constant
     return pres.element(terms)
 

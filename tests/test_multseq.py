@@ -31,6 +31,7 @@ from oracles import (
     generator,
     genus_by_substitution,
     genus_polys_by_powers,
+    monomials,
     partitions,
     power_sum,
     random_fraction,
@@ -67,9 +68,7 @@ def test_partition_terms_come_in_display_order():
 def power_sums(max_weight):
     """Power sums s_1..s_N of the roots of the universal class 1 + p_1 + ... + p_N
     in Q[p_1..p_N], read off its Pontryagin character as s_k = (2k)!/2 ph_k."""
-    pres = RingPresentation(
-        [(f"p{i}", 4 * i, max_weight // i + 1) for i in range(1, max_weight + 1)], 4 * max_weight
-    )
+    pres = _pontryagin_ring(max_weight)
     universal = sum((generator(pres, name) for name in pres.names), pres.one())
     character = pont_character(universal, max_weight)
     return [ph * Fraction(factorial(2 * k), 2) for k, ph in enumerate(character, 1)]
@@ -307,21 +306,9 @@ def test_evaluate_genus_rejects_undersized_tables():
 
 
 def _random_total_class(rng, pres):
-    terms = {(0,) * pres.ngens: Fraction(1)}
-    for exps in _positive_monomials(pres):
-        terms[exps] = random_fraction(rng)
+    terms = {exps: random_fraction(rng) for exps in monomials(pres) if any(exps)}
+    terms[(0,) * pres.ngens] = Fraction(1)
     return pres.element(terms)
-
-
-def _positive_monomials(pres):
-    out = [()]
-    for n in pres.nilpotencies:
-        out = [e + (i,) for e in out for i in range(n)]
-    return [
-        e
-        for e in out
-        if any(e) and pres.monomial_degree(e) <= pres.top_degree
-    ]
 
 
 def test_genus_evaluation_is_multiplicative():

@@ -5,7 +5,7 @@ unreferenced private helper or unbounded size, every public member of an
 exported class is read in src or shown in the README, every public entry
 that takes a size refuses a negative one and a fraction by the one rule and
 takes any `__index__` integer, every public callable given a hostile value
-in place of any one argument returns or raises `ValueError` (bar the three
+in place of any one argument returns or raises `ValueError` (bar the two
 `lru_cache` builders given a list) and a value of the wrong kind is refused
 by name, the benchmark's tracer and worker still find what they wrap and
 call, and the first lib-sweep operations pass the benchmark's own checks."""
@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,6 +206,7 @@ def _z():
 _SIZED = {
     "hp_model": lambda n: genuscalc.hp_model(n),
     "sphere_model": lambda n: genuscalc.sphere_model(n),
+    "ambient_model": lambda n: genuscalc.ambient_model(n),
     "l_genus_series": lambda n: genuscalc.l_genus_series(n),
     "ahat_genus_series": lambda n: genuscalc.ahat_genus_series(n),
     "l_genus_table": lambda n: genuscalc.l_genus_table(n),
@@ -300,7 +302,7 @@ _HOSTILE = [None, 5, -1, 2.5, "x", Fraction(1, 2), [], [1], object()]
 # `functools.lru_cache` hashes the arguments before the builder reads them, so
 # a list gets `TypeError: unhashable type`; a wrapper that refused it would
 # hide the cache statistics `bench/tracer.py` reads from the two table builders.
-_CACHED_BUILDERS = {"ahat_genus_table", "ambient_model", "l_genus_table"}
+_CACHED_BUILDERS = {"ahat_genus_table", "l_genus_table"}
 
 
 def test_every_public_callable_has_valid_arguments_listed():
@@ -351,13 +353,21 @@ _PARAMS_EXPECTED = "expected normal invariant parameters, got "
          "expected (name, degree, nilpotency) triples, got [('z', 4)]"),
         (lambda: genuscalc.RingPresentation([("z", 4, 2, 9)], 4),
          "expected (name, degree, nilpotency) triples, got [('z', 4, 2, 9)]"),
+        (lambda: genuscalc.RingPresentation({("z", 4, 3)}, 12),
+         "expected (name, degree, nilpotency) triples, got {('z', 4, 3)}"),
+        (lambda: genuscalc.RingPresentation({("z", 4, 3): 1}, 12),
+         "expected (name, degree, nilpotency) triples, got {('z', 4, 3): 1}"),
         (lambda: genuscalc.RingPresentation([(5, 4, 2)], 4), "expected a string, got 5"),
         (lambda: genuscalc.ManifoldModel(None, genuscalc.hp_model(1).tangent_pontryagin),
          "expected a string, got None"),
         (lambda: genuscalc.RingElement(5, {}), "expected a ring presentation, got 5"),
+        (lambda: genuscalc.RingElement(SimpleNamespace(ngens=0, nilpotencies=(), degrees=(), top_degree=0), {}),
+         "expected a ring presentation, got namespace(ngens=0, nilpotencies=(), degrees=(), top_degree=0)"),
         (lambda: genuscalc.hp_model(1).presentation.element(5),
          "expected a mapping of exponent vectors to scalars, got 5"),
         (lambda: genuscalc.pont_classes_from_character(5), "expected a sequence of ring elements, got 5"),
+        (lambda: genuscalc.pont_classes_from_character({_z(): 1}),
+         "expected a sequence of ring elements, got {<RingElement z>: 1}"),
         (lambda: genuscalc.factored_str(genuscalc.ambient_model(2).tangent_pontryagin),
          "expected a polynomial in p_1..p_N with |p_i| = 4i, got <RingElement 1 + 2*z + 7*z^2>"),
     ],
@@ -365,8 +375,10 @@ _PARAMS_EXPECTED = "expected normal invariant parameters, got "
         "xi_total_class", "surgery_obstruction", "a_hat_total_space", "p1_cubed_total_space",
         "evaluate_genus", "genus_table", "parse_rational", "parse_descriptor", "RingPresentation 5",
         "RingPresentation [1]", "RingPresentation 'x'", "RingPresentation pair",
-        "RingPresentation quadruple", "RingPresentation name", "ManifoldModel name", "RingElement presentation",
-        "RingElement terms", "pont_classes_from_character", "factored_str ring",
+        "RingPresentation quadruple", "RingPresentation set", "RingPresentation mapping",
+        "RingPresentation name", "ManifoldModel name", "RingElement presentation",
+        "RingElement look-alike", "RingElement terms", "pont_classes_from_character",
+        "pont_classes_from_character mapping", "factored_str ring",
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_by_name(call, message):

@@ -4,6 +4,7 @@ import operator
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from oracles import (
     generator,
     inverse_parts,
     log_derivative_parts,
+    monomials,
     naive_reduced_product,
     nonzero_fraction,
     random_fraction,
@@ -37,20 +39,10 @@ def _s4_hp2():
 
 
 def _random_element(rng, pres, unit=False):
-    terms = {}
-    for exps in _all_monomials(pres):
-        terms[exps] = random_fraction(rng)
+    terms = {exps: random_fraction(rng) for exps in monomials(pres)}
     if unit:
         terms[(0,) * pres.ngens] = Fraction(1)
     return pres.element(terms)
-
-
-def _all_monomials(pres):
-    ranges = [range(n) for n in pres.nilpotencies]
-    out = [()]
-    for r in ranges:
-        out = [e + (i,) for e in out for i in r]
-    return [e for e in out if pres.monomial_degree(e) <= pres.top_degree]
 
 
 def test_odd_degree_generator_is_rejected():
@@ -163,6 +155,9 @@ def test_bad_exponents_are_refused(bad, message):
         (lambda z: evaluate_genus(l_genus_table(2), 5), "5"),
         # every summand of a one-construction sum is checked
         (lambda z: z.presentation._sum([z, "z"]), "'z'"),
+        # an object with an element's attributes is still no element
+        (lambda z: z.presentation._sum([z, SimpleNamespace(_pres=z.presentation, _terms={})]),
+         "namespace(_pres=RingPresentation([z(deg 4, nil 3)], top_degree=8), _terms={})"),
         (lambda z: ManifoldModel("x", 5), "5"),
         (lambda z: partition_terms(5), "5"),
         (lambda z: factored_str(5), "5"),
