@@ -173,16 +173,20 @@ def genus_table(q: Series) -> GenusTable:
     return GenusTable(_instance(q, Series, "a series").log().coefficients)
 
 
-@lru_cache(maxsize=None)
 def l_genus_table(max_weight: int) -> GenusTable:
     """Cached genus table of the signature genus."""
-    return genus_table(l_genus_series(max_weight))
+    return _l_table(_size(max_weight, "series order", 0))
 
 
-@lru_cache(maxsize=None)
 def ahat_genus_table(max_weight: int) -> GenusTable:
     """Cached genus table of the A-hat genus."""
-    return genus_table(ahat_genus_series(max_weight))
+    return _ahat_table(_size(max_weight, "series order", 0))
+
+
+# Each builder reads its weight before its cache hashes it, and carries that cache's statistics.
+_l_table = lru_cache(maxsize=None)(lambda max_weight: genus_table(l_genus_series(max_weight)))
+_ahat_table = lru_cache(maxsize=None)(lambda max_weight: genus_table(ahat_genus_series(max_weight)))
+l_genus_table.cache_info, ahat_genus_table.cache_info = _l_table.cache_info, _ahat_table.cache_info
 
 
 def _log_derivative_parts(total_class: RingElement, max_weight: int) -> list[RingElement]:

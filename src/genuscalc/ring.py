@@ -25,15 +25,14 @@ __all__ = ["RingElement", "RingPresentation"]
 
 
 def _exponent_vector(exponents, ngens: int) -> tuple[int, ...]:
-    """An exponent vector as a tuple of `ngens` nonnegative ints: a
-    non-integer exponent is named, never truncated."""
+    """`ngens` nonnegative ints, read by `_sequence`; a non-integer exponent is named, not truncated."""
+    if type(exponents) is not tuple:  # every key the ring builds is a tuple
+        exponents = tuple(_sequence(exponents, "exponent vector must be a sequence of integers"))
     try:
         key = tuple(map(index, exponents))
     except TypeError:
-        if not isinstance(exponents, Iterable):
-            raise ValueError(f"exponent vector {exponents!r} is not a sequence of integers") from None
         bad = next((e for e in exponents if not hasattr(type(e), "__index__")), None)
-        raise ValueError(f"exponent {bad!r} in {tuple(exponents)!r} is not an integer") from None
+        raise ValueError(f"exponent {bad!r} in {exponents!r} is not an integer") from None
     if len(key) != ngens:
         raise ValueError(f"exponent vector {key} does not match {ngens} generators")
     if key and min(key) < 0:
@@ -123,12 +122,10 @@ class RingElement(FrozenRecord):
     def __init__(self, presentation: RingPresentation, terms: Mapping[tuple[int, ...], Fraction | int]):
         pres = _instance(presentation, RingPresentation, "a ring presentation")
         ngens, nils, degrees, top = pres.ngens, pres.nilpotencies, pres.degrees, pres.top_degree
-        try:
-            items = dict(terms).items()
-        except (TypeError, ValueError):
-            raise ValueError(f"expected a mapping of exponent vectors to scalars, got {terms!r}") from None
+        if type(terms) is not dict:
+            _instance(terms, Mapping, "a mapping of exponent vectors to scalars")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in items:
+        for exps, coeff in terms.items():
             key = _exponent_vector(exps, ngens)
             c = coeff if type(coeff) is Fraction else _rational(coeff)
             if not c or any(map(ge, key, nils)) or sum(map(mul, key, degrees)) > top:

@@ -153,7 +153,7 @@ def solve_bundle(n: int, require_section: bool = False) -> BundleSolution:
     n = _size(n, "fibre projective dimension", 0)
     if n < 2 or n % 2:
         raise ValueError(f"pair mode needs an even fibre dimension >= 2, got {n}")
-    if require_section and n != 2:
+    if _instance(require_section, bool, "a bool for require_section") and n != 2:
         raise ValueError(f"a section can only be required when n = 2, got n = {n}")
     names = ("A", "B", "C") if n == 2 else ("A", "C")
     c_a, *coeffs = (surgery_obstruction(NormalInvariantParams(n, **{name: 1})) for name in names)

@@ -359,6 +359,7 @@ def test_keys_naming_one_exponent_vector_are_summed():
         (lambda pres: pres.element({(1.5,): 1}), "1.5"),
         (lambda pres: pres.element({(1.5,): 1, (1,): -1}), "1.5"),
         (lambda pres: pres.one().coefficient((0.7,)), "0.7"),
+        (lambda pres: pres.one().coefficient(x for x in (1.5,)), "1.5"),
     ],
 )
 def test_non_integer_exponents_are_rejected_not_truncated(build, bad):
